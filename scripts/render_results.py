@@ -142,9 +142,7 @@ def _fig11_section(payload) -> str:
                   "pruned frac", "decisions equivalent"], rows)
         + "\n\nOverall speedup at the largest row count: "
         f"**{_fmt(payload['overall_speedup_at_largest'], 1)}x** "
-        f"(all decisions equivalent: `{payload['all_equivalent']}`; "
-        "batched shards on a process pool: "
-        f"`{payload.get('parallel_shards', False)}`).  The "
+        f"(all decisions equivalent: `{payload['all_equivalent']}`).  The "
         "`decision_domain` block of the JSON carries only "
         "deterministic fields — per-prefix prune counts and SHA-256 "
         "decision digests — which CI asserts byte-identical across "
@@ -670,8 +668,8 @@ def _obs_section(payload) -> str:
     )
 
 
-def _kernel_names():
-    """The canonical kernel-key spellings and the legacy aliases.
+def _kernel_keys():
+    """The canonical kernel-key spellings.
 
     Sourced from ``repro.obs.names`` when importable (the single
     naming convention), with an identical inline fallback so the
@@ -680,11 +678,10 @@ def _kernel_names():
         sys.path.insert(0, str(REPO_ROOT / "src"))
         from repro.obs import names
 
-        return names.PROFILE_KERNEL_KEYS, dict(names.LEGACY_KERNEL_KEYS)
+        return names.PROFILE_KERNEL_KEYS
     except ImportError:  # pragma: no cover - bare checkout
-        return (("encode_packet", "decode_header", "decode_values",
-                 "offer_batch"),
-                {"encode": "encode_packet", "offer": "offer_batch"})
+        return ("encode_packet", "decode_header", "decode_values",
+                "offer_batch")
 
 
 def _profile_section() -> str:
@@ -692,30 +689,30 @@ def _profile_section() -> str:
     if payload is None:
         return None
     codec = payload["codec_pipeline"]
-    kernel_keys, legacy = _kernel_names()
-    aliases = {canonical: alias for alias, canonical in legacy.items()}
     kernel_rows = []
-    for key in kernel_keys:
-        # Checked-in payloads may predate the canonical spelling.
-        entry = codec.get(key) or codec[aliases.get(key, key)]
-        label = ("offer / offer_batch" if key == "offer_batch"
-                 else key)
-        per_packet = entry["per_packet_seconds"]
-        bulk = entry.get("bulk_seconds", entry.get("batched_seconds"))
-        speedup = entry.get("bulk_speedup", entry.get("batched_speedup"))
+    for key in _kernel_keys():
+        entry = codec[key]
+        if key == "offer_batch":
+            kernel_rows.append({
+                "kernel": "`offer / offer_batch`",
+                "per-packet (s)": _fmt(entry["per_packet_seconds"]),
+                "column/batched (s)": _fmt(entry["batched_seconds"]),
+                "speedup": _fmt(entry["batched_speedup"], 2) + "x",
+            })
+            continue
         kernel_rows.append({
-            "kernel": f"`{label}`",
-            "per-packet (s)": _fmt(per_packet),
-            "bulk/batched (s)": _fmt(bulk),
-            "speedup": _fmt(speedup, 2) + "x",
+            "kernel": f"`{key}`",
+            "per-packet (s)": _fmt(entry["per_packet_seconds"]),
+            "column/batched (s)": "—",
+            "speedup": "—",
         })
-    fields = codec["decode_header"]
-    kernel_rows.insert(2, {
-        "kernel": "`decode_header_fields` (column-oriented)",
-        "per-packet (s)": _fmt(fields["per_packet_seconds"]),
-        "bulk/batched (s)": _fmt(fields["fields_seconds"]),
-        "speedup": _fmt(fields["fields_speedup"], 2) + "x",
-    })
+        if key == "decode_header":
+            kernel_rows.append({
+                "kernel": "`decode_header_fields` (column-oriented)",
+                "per-packet (s)": _fmt(entry["per_packet_seconds"]),
+                "column/batched (s)": _fmt(entry["fields_seconds"]),
+                "speedup": _fmt(entry["fields_speedup"], 2) + "x",
+            })
 
     def hotspot_rows(loop):
         return [
@@ -741,7 +738,7 @@ def _profile_section() -> str:
         "documented in [PERFORMANCE.md](PERFORMANCE.md).\n\n"
         "Codec kernel tiers over the identical packet vector "
         "(bit-identical outputs asserted in-run):\n\n"
-        + _table(["kernel", "per-packet (s)", "bulk/batched (s)",
+        + _table(["kernel", "per-packet (s)", "column/batched (s)",
                   "speedup"], kernel_rows)
         + "\n\nTop codec-pipeline functions by cumulative time:\n\n"
         + _table(["function", "calls", "cumulative (s)"],

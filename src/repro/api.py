@@ -48,7 +48,7 @@ from repro.cluster.scheduler import (
 
 #: The facade's own version, independent of the package version:
 #: bumped only when a name exported here changes incompatibly.
-API_VERSION = 1
+API_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,8 +289,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
                  reorder: int = 0, shards: int = 1,
                  pipelined: bool = True, check: bool = True,
                  congestion: str = "fixed",
-                 queue_capacity: Optional[int] = None,
-                 parallel_shards: bool = False):
+                 queue_capacity: Optional[int] = None):
     """One scenario end-to-end through the simulated cluster.
 
     This is the facade over single-tenant
@@ -299,9 +298,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
     :class:`~repro.cluster.simulation.SimulationReport`.
     ``congestion``/``queue_capacity`` select the transport mode
     (``docs/CONGESTION.md``); results are byte-identical either way,
-    only the protocol accounting moves.  ``parallel_shards`` executes
-    the K shard pruners on a process pool
-    (``docs/PERFORMANCE.md``) — again bit-identical results.
+    only the protocol accounting moves.
     """
     from repro.cluster.simulation import (
         ClusterSimulation,
@@ -314,8 +311,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
                               reorder_window=reorder, shards=shards,
                               seed=seed, pipelined=pipelined,
                               congestion=congestion,
-                              queue_capacity=queue_capacity,
-                              parallel_shards=parallel_shards)
+                              queue_capacity=queue_capacity)
     return ClusterSimulation(config).run(query, tables, check=check)
 
 

@@ -6,7 +6,7 @@ to *where the time goes*:
 * the **codec + pipeline** loop — ``encode_packet`` / header decode /
   ``offer_batch`` over a seeded packet stream (the per-arrival work of
   ``switch/pipeline.py`` + ``net/wire.py``), per-packet tier vs the
-  bulk ``np.frombuffer`` tier;
+  ``decode_header_fields`` column tier;
 * the **scheduler tick** loop — ``ServingLoop.run_tick`` driving a
   seeded multi-tenant serve (admission, DRR service, transfer steps).
 
@@ -62,11 +62,11 @@ def _hotspots(profile: cProfile.Profile,
 
 def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
                             seed: int) -> Dict:
-    """Profile pack/unpack + ``offer_batch``: per-packet vs bulk tier.
+    """Profile pack/unpack + ``offer_batch``: per-packet vs column tier.
 
     The workload is the fig11 DISTINCT stream encoded onto the wire:
     every timing below covers the identical seeded packet vector, so
-    the per-packet/bulk ratios are apples-to-apples.
+    the per-packet/column ratios are apples-to-apples.
     """
     from repro.cluster.runtime import make_sharded
     from repro.core.distinct import DistinctPruner
@@ -79,35 +79,23 @@ def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
                for index, value in enumerate(stream)]
 
     start = time.perf_counter()
-    frames_scalar = [wire.encode_packet(packet) for packet in packets]
+    frames = [wire.encode_packet(packet) for packet in packets]
     encode_packet_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    frames = wire.encode_packet_batch(packets)
-    encode_bulk_seconds = time.perf_counter() - start
-    assert frames == frames_scalar
 
     start = time.perf_counter()
-    headers_scalar = [wire.decode_header(frame) for frame in frames]
+    headers = [wire.decode_header(frame) for frame in frames]
     header_packet_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    headers = wire.decode_header_batch(frames)
-    header_bulk_seconds = time.perf_counter() - start
-    assert headers == headers_scalar
 
     start = time.perf_counter()
     columns = wire.decode_header_fields(frames)
     header_fields_seconds = time.perf_counter() - start
-    assert list(zip(*columns)) == headers_scalar
+    assert list(zip(*columns)) == headers
 
     start = time.perf_counter()
-    values_scalar = [wire.decode_values(frame, header[2])
-                     for frame, header in zip(frames, headers)]
+    values = [wire.decode_values(frame, header[2])
+              for frame, header in zip(frames, headers)]
     values_packet_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    values = wire.decode_values_batch(frames,
-                                      [header[2] for header in headers])
-    values_bulk_seconds = time.perf_counter() - start
-    assert values == values_scalar
+    assert [packet.values for packet in packets] == values
 
     entries = [value[0] for value in values]
 
@@ -144,31 +132,21 @@ def _profile_codec_pipeline(rows: int, shards: int, batch_size: int,
         return slow / fast if fast > 0 else None
 
     # Kernel entries are keyed by the profiled function's real name
-    # (repro.obs.names.PROFILE_KERNEL_KEYS); pre-PR-10 payloads used
-    # abbreviations — renderers map those via LEGACY_KERNEL_KEYS.
+    # (repro.obs.names.PROFILE_KERNEL_KEYS).
     return {
         "packets": len(packets),
         "bytes_on_wire": sum(len(frame) for frame in frames),
         names.KERNEL_ENCODE: {
             "per_packet_seconds": encode_packet_seconds,
-            "bulk_seconds": encode_bulk_seconds,
-            "bulk_speedup": ratio(encode_packet_seconds,
-                                  encode_bulk_seconds),
         },
         names.KERNEL_DECODE_HEADER: {
             "per_packet_seconds": header_packet_seconds,
-            "bulk_seconds": header_bulk_seconds,
-            "bulk_speedup": ratio(header_packet_seconds,
-                                  header_bulk_seconds),
             "fields_seconds": header_fields_seconds,
             "fields_speedup": ratio(header_packet_seconds,
                                     header_fields_seconds),
         },
         names.KERNEL_DECODE_VALUES: {
             "per_packet_seconds": values_packet_seconds,
-            "bulk_seconds": values_bulk_seconds,
-            "bulk_speedup": ratio(values_packet_seconds,
-                                  values_bulk_seconds),
         },
         names.KERNEL_OFFER: {
             "per_packet_seconds": offer_packet_seconds,

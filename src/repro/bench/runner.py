@@ -282,8 +282,7 @@ def _decision_fingerprint(decisions: Sequence[bool]) -> str:
 
 def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
                           batch_size: int = 8192, seed: int = 0,
-                          verify: bool = True,
-                          parallel: bool = False) -> Dict:
+                          verify: bool = True) -> Dict:
     """The Figure 11 scale benchmark: per-packet vs batched dataplane.
 
     Runs every fig11 pruner over growing prefixes of its stream (three
@@ -293,11 +292,6 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
     ``shards > 1`` — and records wall-clock timings, pruning fractions,
     speedups, and (with ``verify``) decision equivalence.
 
-    ``parallel=True`` runs the batched path's shards on a process pool
-    (:class:`~repro.cluster.runtime.ProcessPoolShardExecutor`) — the
-    per-packet reference stays serial, and decisions must still match
-    bit-for-bit.
-
     Returns the payload for ``BENCH_fig11.json``; the headline
     ``overall_speedup_at_largest`` is total per-packet time over total
     batched time at the largest row count.  The ``decision_domain``
@@ -305,10 +299,7 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
     counts and decision digests) — wall clocks live outside it, so CI
     can assert byte-identical decisions across repeat runs.
     """
-    from repro.cluster.runtime import (
-        ProcessPoolShardExecutor,
-        make_sharded,
-    )
+    from repro.cluster.runtime import make_sharded
 
     if rows < 40:
         raise ValueError(f"rows too small for the fig11 streams: {rows}")
@@ -330,8 +321,7 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
                                                 case.two_pass)
             packet_seconds = time.perf_counter() - start
             batch_pruner = make_sharded(case.factory, shards,
-                                        case.query_type, seed=seed,
-                                        parallel=parallel)
+                                        case.query_type, seed=seed)
             start = time.perf_counter()
             batch_decisions = _run_case_batched(batch_pruner, prefix,
                                                 case.two_pass, batch_size)
@@ -340,8 +330,6 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
                           and packet_pruner.stats == batch_pruner.stats
                           ) if verify else None
             stats = batch_pruner.stats
-            if isinstance(batch_pruner, ProcessPoolShardExecutor):
-                batch_pruner.close()
             series.append({
                 "rows": len(prefix),
                 "packet_seconds": packet_seconds,
@@ -371,7 +359,6 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
         "shards": shards,
         "batch_size": batch_size,
         "seed": seed,
-        "parallel_shards": parallel,
         "algorithms": algorithms,
         "decision_domain": decision_domain,
         "totals": {

@@ -172,8 +172,7 @@ def _run_e2e(names: List[str], args) -> int:
                     shards=args.shards,
                     pipelined=(mode == "pipelined"),
                     congestion=args.congestion,
-                    queue_capacity=args.queue_capacity,
-                    parallel_shards=args.parallel_shards)
+                    queue_capacity=args.queue_capacity)
             except ValueError as error:
                 # SimulationConfig bounds, SimulationError (bad rows,
                 # unsupported wire shapes, livelock): one-line
@@ -395,7 +394,6 @@ def _serve(args) -> int:
             seed=args.seed,
             congestion=args.congestion,
             queue_capacity=args.queue_capacity,
-            parallel_shards=args.parallel_shards,
             obs=_make_obs(args),
         )
     except ValueError as error:
@@ -516,7 +514,6 @@ def _replay(args) -> int:
             reorder_window=args.reorder, shards=shards, seed=args.seed,
             congestion=args.congestion,
             queue_capacity=args.queue_capacity,
-            parallel_shards=args.parallel_shards,
             obs=_make_obs(args))
         report = replay_trace(trace, config, apply_overrides=False,
                               chaos=chaos)
@@ -626,8 +623,7 @@ def _chaos(args) -> int:
             reorder_window=args.reorder, shards=args.shards,
             seed=args.seed,
             congestion=args.congestion,
-            queue_capacity=args.queue_capacity,
-            parallel_shards=args.parallel_shards)
+            queue_capacity=args.queue_capacity)
     except ValueError as error:
         print(f"repro chaos: {error}", file=sys.stderr)
         return 2
@@ -751,6 +747,12 @@ def _bench(args) -> int:
         # so they contend for the finite ingress queues.
         args.slots = {"qos": 3, "load": 8, "chaos": 4,
                       "congestion": 4, "obs": 4}.get(args.name, 2)
+    if (args.name in ("e2e", "concurrency", "replay", "qos", "chaos",
+                      "load", "obs")
+            and not 0.0 <= args.loss < 1.0):
+        print(f"repro bench: --loss must be in [0, 1), got {args.loss}",
+              file=sys.stderr)
+        return 2
     if args.name == "fig11" and args.rows < 40:
         print(f"repro bench: --rows must be >= 40 for the fig11 streams, "
               f"got {args.rows}", file=sys.stderr)
@@ -759,10 +761,6 @@ def _bench(args) -> int:
         if args.rows < 20:
             print(f"repro bench: --rows must be >= 20 for e2e, got "
                   f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
             return 2
         if args.reorder < 0:
             print(f"repro bench: --reorder must be >= 0, got "
@@ -796,10 +794,6 @@ def _bench(args) -> int:
             print(f"repro bench: --rows must be >= 20 for concurrency, "
                   f"got {args.rows}", file=sys.stderr)
             return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
         payload = run_concurrency_bench(max_tenants=args.tenants,
                                         rows=args.rows,
                                         loss_rate=args.loss,
@@ -831,10 +825,6 @@ def _bench(args) -> int:
             print(f"repro bench: --rows must be >= 20 for replay, got "
                   f"{args.rows}", file=sys.stderr)
             return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
         payload = run_replay_bench(queries=args.queries, rows=args.rows,
                                    slots=args.slots,
                                    loss_rate=args.loss,
@@ -863,10 +853,6 @@ def _bench(args) -> int:
         if args.rows < 20:
             print(f"repro bench: --rows must be >= 20 for qos, got "
                   f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
             return 2
         try:
             payload = run_qos_bench(batch_rows=args.rows,
@@ -903,10 +889,6 @@ def _bench(args) -> int:
         if args.rows < 20:
             print(f"repro bench: --rows must be >= 20 for chaos, got "
                   f"{args.rows}", file=sys.stderr)
-            return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
             return 2
         shards = args.shards if args.shards > 1 else 3
         try:
@@ -1012,10 +994,6 @@ def _bench(args) -> int:
             print(f"repro bench: --rows must be >= 20 for load, got "
                   f"{args.rows}", file=sys.stderr)
             return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
         policy = args.policy if args.policy is not None else "tiers"
         try:
             payload = run_load_bench(
@@ -1060,10 +1038,6 @@ def _bench(args) -> int:
             print(f"repro bench: --rows must be >= 20 for obs, got "
                   f"{args.rows}", file=sys.stderr)
             return 2
-        if not 0.0 <= args.loss < 1.0:
-            print(f"repro bench: --loss must be in [0, 1), got "
-                  f"{args.loss}", file=sys.stderr)
-            return 2
         shards = args.shards if args.shards > 1 else 2
         payload = run_obs_bench(tenants=args.tenants, rows=args.rows,
                                 slots=args.slots, loss_rate=args.loss,
@@ -1100,12 +1074,10 @@ def _bench(args) -> int:
     elif args.name == "fig11":
         payload = run_fig11_scale_bench(rows=args.rows, shards=args.shards,
                                         batch_size=args.batch_size,
-                                        seed=args.seed,
-                                        parallel=args.parallel_shards)
+                                        seed=args.seed)
         path = emit_bench_json("fig11", payload, args.results_dir)
         largest = payload["row_counts"][-1]
-        print(f"fig11 scale bench: rows={largest} shards={args.shards}"
-              f"{' parallel' if args.parallel_shards else ''}")
+        print(f"fig11 scale bench: rows={largest} shards={args.shards}")
         for name, series in sorted(payload["algorithms"].items()):
             point = series[-1]
             print(f"  {name:10s} packet={point['packet_seconds']:.3f}s "
@@ -1155,8 +1127,7 @@ def _profile(args) -> int:
     header = codec[names.KERNEL_DECODE_HEADER]
     offer = codec[names.KERNEL_OFFER]
     print(f"    {names.KERNEL_DECODE_HEADER:14s} fields speedup="
-          f"{header['fields_speedup']:.2f}x "
-          f"bulk={header['bulk_speedup']:.2f}x")
+          f"{header['fields_speedup']:.2f}x")
     print(f"    {names.KERNEL_OFFER:14s} batched speedup="
           f"{offer['batched_speedup']:.2f}x")
     print(f"  scheduler: {sched['ticks']} ticks, {sched['entries']} "
@@ -1239,10 +1210,6 @@ def _serving_flags(loss=None, shards=None, slots=None, policy=None,
                         help="switch ingress-queue slots per pipeline "
                         "(default: unbounded); finite queues tail-drop "
                         "and emit the AIMD congestion signal")
-    parent.add_argument("--parallel-shards", action="store_true",
-                        help="execute the K shard pruners on a process "
-                        "pool (one worker per shard); bit-identical "
-                        "decisions, K cores (docs/PERFORMANCE.md)")
     return parent
 
 
@@ -1350,9 +1317,6 @@ def main(argv: List[str] = None) -> int:
                             metavar="N",
                             help="e2e: switch ingress-queue slots per "
                             "pipeline (default: unbounded)")
-    run_parser.add_argument("--parallel-shards", action="store_true",
-                            help="e2e: execute the K shard pruners on "
-                            "a process pool (docs/PERFORMANCE.md)")
 
     sql_parser = sub.add_parser("sql", help="run a demo SQL query "
                                 "through the Cheetah flow")

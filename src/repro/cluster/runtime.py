@@ -240,271 +240,16 @@ class ShardedPruner:
                 f"{len(self.pruners)})")
 
 
-def _shard_worker_main(conn) -> None:
-    """Worker-process loop hosting one shard's pruner.
-
-    The first message is the (pickled) pruner itself; every later
-    message is a ``(command, ...)`` tuple answered with
-    ``("ok", result)`` or ``("err", exception)`` — the parent re-raises
-    the latter, so resource violations surface exactly as they would
-    in-process.
-    """
-    pruner = conn.recv()
-    while True:
-        message = conn.recv()
-        command = message[0]
-        if command == "exit":
-            conn.close()
-            return
-        try:
-            if command == "offer_batch":
-                result = pruner.offer_batch(message[1])
-            elif command == "offer":
-                result = pruner.offer(message[1])
-            elif command == "stats":
-                result = pruner.stats
-            elif command == "sync":
-                result = pruner
-            else:  # ("call", method_name, args)
-                result = getattr(pruner, message[1])(*message[2])
-        except Exception as error:  # noqa: BLE001 - relayed to parent
-            conn.send(("err", error))
-        else:
-            conn.send(("ok", result))
-
-
-class ProcessPoolShardExecutor(ShardedPruner):
-    """A :class:`ShardedPruner` whose shards run on worker processes.
-
-    Same facade, same hash routing, same merged statistics — but each
-    per-shard pruner is shipped (pickled) to its own OS process on
-    first use, so ``K`` simulated switch pipelines occupy ``K`` cores.
-    Decisions are deterministic and bit-identical to the serial
-    facade: routing happens in the parent with the identical
-    :func:`shard_of` rule, per-shard sub-batches preserve arrival
-    order, and each worker's pruner sees exactly the entry stream its
-    serial twin would (a pruner is itself deterministic given its
-    stream), so the position-merged decision vector is reproducible
-    run over run.
-
-    The executor is **local until first offered work**: control calls
-    before that mutate the in-process pruners directly.  :meth:`sync`
-    pulls every worker's pruner state back into the parent's pruner
-    *objects* (their identity is preserved — the control plane's
-    checkpoint machinery holds references to them) and stops the
-    workers; the next offer respawns workers from the synced state.
-    This is how ``ShardedSwitchFrontend`` keeps the PR 5
-    suspend/resume checkpoints working under ``parallel=True``: a
-    checkpoint is always taken from freshly synced local state.
-
-    Falls back to serial in-process execution (flagging
-    :attr:`parallel_broken`) when worker processes cannot be spawned.
-    """
-
-    def __init__(self, pruners: Sequence, key_fn: Optional[Callable] = None,
-                 seed: int = 0):
-        super().__init__(pruners, key_fn=key_fn, seed=seed)
-        self._workers: List = []
-        self._conns: List = []
-        self.parallel_broken = False
-
-    # -- worker lifecycle ----------------------------------------------------
-    @property
-    def parallel_active(self) -> bool:
-        """True while shard state lives in worker processes."""
-        return bool(self._workers)
-
-    def _ensure_workers(self) -> bool:
-        if self._workers:
-            return True
-        if self.parallel_broken:
-            return False
-        import multiprocessing
-
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-            workers, conns = [], []
-            for pruner in self.pruners:
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(target=_shard_worker_main,
-                                          args=(child_conn,), daemon=True)
-                process.start()
-                child_conn.close()
-                parent_conn.send(pruner)
-                workers.append(process)
-                conns.append(parent_conn)
-        except (OSError, ValueError, ImportError):
-            self.parallel_broken = True
-            return False
-        self._workers = workers
-        self._conns = conns
-        return True
-
-    def _ask(self, shard: int, message) -> object:
-        self._conns[shard].send(message)
-        return self._recv(shard)
-
-    def _recv(self, shard: int) -> object:
-        status, value = self._conns[shard].recv()
-        if status == "err":
-            raise value
-        return value
-
-    def _broadcast(self, message) -> List:
-        for conn in self._conns:
-            conn.send(message)
-        return [self._recv(shard) for shard in range(len(self._conns))]
-
-    def sync(self) -> None:
-        """Pull worker state back into the local pruner objects and stop
-        the workers (no-op when already local).
-
-        The per-shard pruner *objects* are updated in place
-        (``__dict__`` swap), so every external reference — the per-plane
-        control planes, pending checkpoints — observes the synced
-        state."""
-        if not self._workers:
-            return
-        fresh = self._broadcast(("sync",))
-        for local, remote in zip(self.pruners, fresh):
-            local.__dict__.clear()
-            local.__dict__.update(remote.__dict__)
-        self.close()
-
-    def close(self) -> None:
-        """Stop the worker processes, discarding their state (call
-        :meth:`sync` first to keep it)."""
-        for conn in self._conns:
-            try:
-                conn.send(("exit",))
-            except (OSError, ValueError):
-                pass
-        for process, conn in zip(self._workers, self._conns):
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-            conn.close()
-        self._workers = []
-        self._conns = []
-
-    def __enter__(self) -> "ProcessPoolShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001
-            pass
-
-    # -- data plane ----------------------------------------------------------
-    def offer(self, entry) -> bool:
-        """Route one entry to its shard's worker; True iff pruned there.
-
-        Correct but latency-bound (one IPC round trip per entry) — the
-        parallel win is :meth:`offer_batch`, which keeps all K workers
-        busy at once.
-        """
-        if not self._ensure_workers():
-            return super().offer(entry)
-        return self._ask(self._route(entry), ("offer", entry))
-
-    def offer_batch(self, entries) -> List[bool]:
-        """Scatter a batch to the shard workers, gather in shard order,
-        merge by arrival position — decisions identical to the serial
-        facade (the scatter/gather is just transport)."""
-        if not entries:
-            return []
-        if not self._ensure_workers():
-            return super().offer_batch(entries)
-        routed = self._route_batch(entries)
-        shards = len(self.pruners)
-        buckets: List[list] = [[] for _ in range(shards)]
-        positions: List[list] = [[] for _ in range(shards)]
-        for position, (entry, shard) in enumerate(zip(entries, routed)):
-            buckets[shard].append(entry)
-            positions[shard].append(position)
-        busy = [shard for shard, bucket in enumerate(buckets) if bucket]
-        for shard in busy:
-            self._conns[shard].send(("offer_batch", buckets[shard]))
-        out = [False] * len(entries)
-        for shard in busy:
-            decisions = self._recv(shard)
-            for position, decision in zip(positions[shard], decisions):
-                out[position] = decision
-        return out
-
-    # -- merged statistics / control -----------------------------------------
-    @property
-    def stats(self) -> PruneStats:
-        if not self._workers:
-            return ShardedPruner.stats.fget(self)
-        merged = PruneStats()
-        for stats in self._broadcast(("stats",)):
-            merged.offered += stats.offered
-            merged.pruned += stats.pruned
-        return merged
-
-    def per_shard_stats(self) -> List[PruneStats]:
-        if not self._workers:
-            return super().per_shard_stats()
-        return self._broadcast(("stats",))
-
-    def start_second_pass(self) -> None:
-        if not self._workers:
-            super().start_second_pass()
-        else:
-            self._broadcast(("call", "start_second_pass", ()))
-
-    def start_large_table(self) -> None:
-        if not self._workers:
-            super().start_large_table()
-        else:
-            self._broadcast(("call", "start_large_table", ()))
-
-    def candidate_keys(self) -> set:
-        if not self._workers:
-            return super().candidate_keys()
-        merged = set()
-        for keys in self._broadcast(("call", "candidate_keys", ())):
-            merged |= keys
-        return merged
-
-    def reset(self) -> None:
-        if self._workers:
-            self._broadcast(("call", "reset", ()))
-        else:
-            for pruner in self.pruners:
-                pruner.reset()
-        self._arrival = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "active" if self._workers else "local"
-        return (f"ProcessPoolShardExecutor("
-                f"{type(self.pruners[0]).__name__} x "
-                f"{len(self.pruners)}, {state})")
-
-
 def make_sharded(factory: Callable[[], object], shards: int,
-                 query_type: Optional[str] = None, seed: int = 0,
-                 parallel: bool = False):
+                 query_type: Optional[str] = None, seed: int = 0):
     """Build ``shards`` instances of ``factory()`` behind a
-    :class:`ShardedPruner` (or the bare pruner when ``shards == 1``).
-
-    ``parallel=True`` returns a :class:`ProcessPoolShardExecutor`
-    instead, running the K shards on K worker processes with
-    bit-identical decisions."""
+    :class:`ShardedPruner` (or the bare pruner when ``shards == 1``)."""
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shards == 1:
         return factory()
-    facade = ProcessPoolShardExecutor if parallel else ShardedPruner
-    return facade([factory() for _ in range(shards)],
-                  key_fn=shard_key_fn(query_type or ""), seed=seed)
+    return ShardedPruner([factory() for _ in range(shards)],
+                         key_fn=shard_key_fn(query_type or ""), seed=seed)
 
 
 class ShardedSwitchFrontend:
@@ -536,16 +281,11 @@ class ShardedSwitchFrontend:
     """
 
     def __init__(self, switch: SwitchModel = TOFINO_MODEL, shards: int = 2,
-                 seed: int = 0, max_slots: Optional[int] = None,
-                 parallel: bool = False):
+                 seed: int = 0, max_slots: Optional[int] = None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.seed = seed
-        #: Run each query's shard pruners on a process pool
-        #: (:class:`ProcessPoolShardExecutor`); decisions stay
-        #: bit-identical, and checkpoints sync worker state back first.
-        self.parallel = parallel
         self.planes = [ControlPlane(switch, seed=seed, max_slots=max_slots)
                        for _ in range(shards)]
         self._installed: dict = {}
@@ -565,8 +305,7 @@ class ShardedSwitchFrontend:
         installs = [first]
         installs += [plane.install_query(spec, fid=first.fid)
                      for plane in self.planes[1:]]
-        facade = ProcessPoolShardExecutor if self.parallel else ShardedPruner
-        view = facade(
+        view = ShardedPruner(
             [inst.compiled.pruner for inst in installs],
             key_fn=shard_key_fn(spec.query_type),
             seed=self.seed,
@@ -593,7 +332,6 @@ class ShardedSwitchFrontend:
     def uninstall_query(self, fid: int) -> None:
         """Remove a query's rules from every switch (a dead pipeline's
         parked copy is simply dropped — the query is finished)."""
-        self._stop_parallel(fid, keep_state=False)
         for index, plane in enumerate(self.planes):
             if index in self._dead:
                 self._refugees[index].pop(fid, None)
@@ -612,7 +350,6 @@ class ShardedSwitchFrontend:
         :meth:`ControlPlane.suspend_query`, a fid that already
         FIN-drained and uninstalled returns ``None``.
         """
-        self._stop_parallel(fid, keep_state=True)
         merged = self._installed.pop(fid, None)
         if merged is None:
             return None
@@ -648,24 +385,6 @@ class ShardedSwitchFrontend:
                 plane.resume_query(shard_checkpoint)
         self._installed[checkpoint.fid] = checkpoint.installation
         return checkpoint.installation
-
-    def _stop_parallel(self, fid: int, keep_state: bool) -> None:
-        """Stop a query's shard workers (if any) before its per-plane
-        pruner objects are checkpointed or discarded.
-
-        ``keep_state=True`` syncs the worker state back into the plane
-        pruner objects first (suspend/kill paths — the checkpoint must
-        capture the live registers); ``keep_state=False`` just stops
-        them (uninstall — the query is finished)."""
-        installation = self._installed.get(fid)
-        if installation is None:
-            return
-        view = installation.compiled.pruner
-        if isinstance(view, ProcessPoolShardExecutor):
-            if keep_state:
-                view.sync()
-            else:
-                view.close()
 
     # -- fault injection (docs/CHAOS.md) --------------------------------------
     @property
@@ -708,10 +427,6 @@ class ShardedSwitchFrontend:
         self._dead.add(shard)
         refugees: Dict[int, tuple] = {}
         for fid in sorted(self._installed):
-            # A parallel query's live state is in its shard workers:
-            # sync it back so the dead plane's checkpoint is current
-            # (the next offer respawns workers from the synced state).
-            self._stop_parallel(fid, keep_state=True)
             parked = self.planes[shard].suspend_query(fid)
             if parked is None:
                 continue

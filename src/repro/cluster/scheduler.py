@@ -176,11 +176,6 @@ class SchedulerConfig:
     switch: SwitchModel = TOFINO_MODEL
     congestion: str = "fixed"
     queue_capacity: Optional[int] = None
-    #: Execute the shared frontend's shard pruners on a process pool
-    #: (:class:`~repro.cluster.runtime.ProcessPoolShardExecutor`);
-    #: bit-identical serving decisions, K cores instead of one.  No
-    #: effect with ``shards=1``.
-    parallel_shards: bool = False
     #: Optional :class:`~repro.obs.Observability` sink.  When set, the
     #: serving loop reports lifecycle events and polls transport /
     #: data-plane counters into it each tick (docs/OBSERVABILITY.md).
@@ -859,8 +854,7 @@ def _build_frontend(cfg: SchedulerConfig):
     if cfg.shards > 1:
         return ShardedSwitchFrontend(cfg.switch, cfg.shards,
                                      seed=cfg.seed,
-                                     max_slots=cfg.slots,
-                                     parallel=cfg.parallel_shards)
+                                     max_slots=cfg.slots)
     return ControlPlane(cfg.switch, seed=cfg.seed,
                         max_slots=cfg.slots)
 

@@ -28,27 +28,19 @@ Two codec tiers share this layout:
   (``n`` is a single byte, so the cache is bounded at 256 entries) —
   building ``f">{n}Q"`` strings on every call used to dominate the
   codec profile.
-* **Bulk** (``decode_header_fields`` / ``decode_header_batch`` /
-  ``decode_packet_batch`` / ``encode_packet_batch``): the whole batch
-  is joined into one buffer
-  and decoded with a single ``np.frombuffer`` — possible because the
-  8-byte header keeps every frame a multiple of 8 bytes, so each
-  packet's words land 8-aligned in the join.  This is the PISA-parser
-  analogy taken literally: one wide parse over the arrival vector
-  instead of a Python loop of ``struct`` calls.  Every malformed frame
-  still raises :class:`WireFormatError`, and the decisions are
-  bit-identical to the per-packet tier (property-tested).
-
-Both tiers are pure Python + numpy.  When numba is importable (it is
-an optional accelerator, never a requirement) the bulk header-field
-extraction can run through an ``@njit`` kernel; setting
-``REPRO_NO_NUMBA=1`` — or simply not having numba installed — takes
-the numpy path, which is bit-identical by construction.
+* **Column** (``decode_header_fields``): a batch's headers are
+  joined into one buffer and decoded with a single ``np.frombuffer``
+  — possible because the 8-byte header keeps every frame a multiple
+  of 8 bytes, so each packet's words land 8-aligned in the join — and
+  returned as four columns.  This is the PISA-parser analogy taken
+  literally: one wide parse over the arrival vector instead of a
+  Python loop of ``struct`` calls.  Every malformed frame still raises
+  :class:`WireFormatError`, and the fields are bit-identical to the
+  per-packet tier (property-tested).
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import List, Sequence, Tuple
 
@@ -68,7 +60,7 @@ _ACK_KIND_FROM = {code: kind for kind, code in _ACK_KIND_CODE.items()}
 #: handful of batch shapes its queries actually emit).
 _VALUE_STRUCTS: dict = {}
 
-#: Batches at least this large take the ``np.frombuffer`` bulk path;
+#: Batches at least this large take the ``np.frombuffer`` column path;
 #: smaller ones loop the cached per-packet structs (the numpy fixed
 #: cost beats the loop only once there is real width to amortize it).
 _BULK_MIN_BATCH = 16
@@ -172,12 +164,8 @@ def decode_values(data: bytes, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Bulk (vectorized) codec
+# Column (vectorized) header decode
 # ---------------------------------------------------------------------------
-
-def _no_numba() -> bool:
-    return bool(os.environ.get("REPRO_NO_NUMBA"))
-
 
 def _numpy_header_fields(words, starts):
     """Vectorized header-field split of the frames' first words."""
@@ -189,32 +177,6 @@ def _numpy_header_fields(words, starts):
     return fids, seqs, ns, flags
 
 
-_header_fields = _numpy_header_fields
-
-try:  # pragma: no cover - exercised only where numba is installed
-    if not _no_numba():
-        from numba import njit
-
-        @njit(cache=True)
-        def _numba_header_fields(words, starts):
-            count = starts.shape[0]
-            fids = np.empty(count, np.uint64)
-            seqs = np.empty(count, np.uint64)
-            ns = np.empty(count, np.uint64)
-            flags = np.empty(count, np.uint64)
-            for i in range(count):
-                word = words[starts[i]]
-                fids[i] = word >> np.uint64(48)
-                seqs[i] = (word >> np.uint64(16)) & np.uint64(0xFFFFFFFF)
-                ns[i] = (word >> np.uint64(8)) & np.uint64(0xFF)
-                flags[i] = word & np.uint64(0xFF)
-            return fids, seqs, ns, flags
-
-        _header_fields = _numba_header_fields
-except ImportError:
-    pass
-
-
 def _bulk_words(datas: Sequence[bytes]):
     """Join a batch of frames into one word array.
 
@@ -223,7 +185,7 @@ def _bulk_words(datas: Sequence[bytes]):
     ``i``'s header word, and ``lens[i]`` its byte length.  Raises
     :class:`WireFormatError` when any frame is short of a header or not
     a whole number of 64-bit words (both imply the per-frame validation
-    would fail too, so no malformed frame sneaks past the bulk tier).
+    would fail too, so no malformed frame sneaks past the column tier).
     """
     lens = np.fromiter((len(d) for d in datas), dtype=np.int64,
                        count=len(datas))
@@ -254,18 +216,16 @@ def _bulk_words(datas: Sequence[bytes]):
 def decode_header_fields(
         datas: Sequence[bytes]) -> Tuple[List[int], List[int],
                                          List[int], List[int]]:
-    """Column-oriented bulk header decode: ``(fids, seqs, ns, flags)``.
+    """Column-oriented batch header decode: ``(fids, seqs, ns, flags)``.
 
-    The fastest tier of the header fast path: the per-packet *tuple*
-    materialization that :func:`decode_header_batch` still pays (one
-    ``zip`` tuple per frame) is what actually dominates bulk header
-    decoding, so returning four parallel columns instead is ~3x faster
-    than either per-packet ``struct`` calls or tuple-batched decode on
-    large batches.  Validation is identical to :func:`decode_header`
-    per frame — any malformed frame raises :class:`WireFormatError` —
-    and ``zip(*decode_header_fields(datas))`` equals
-    ``[decode_header(d) for d in datas]`` (property-tested).  Small
-    batches fall back to the cached per-packet structs.
+    The header fast path for a batch of frames: returning four
+    parallel columns instead of one tuple per frame skips the
+    per-packet tuple materialization, which is what dominates a
+    batched header decode.  Validation is identical to
+    :func:`decode_header` per frame — any malformed frame raises
+    :class:`WireFormatError` — and ``zip(*decode_header_fields(datas))``
+    equals ``[decode_header(d) for d in datas]`` (property-tested).
+    Small batches fall back to the cached per-packet structs.
     """
     if len(datas) < _BULK_MIN_BATCH:
         if not datas:
@@ -273,7 +233,7 @@ def decode_header_fields(
         fids, seqs, ns, flags = zip(*(decode_header(d) for d in datas))
         return list(fids), list(seqs), list(ns), list(flags)
     words, starts, lens = _bulk_words(datas)
-    fids, seqs, ns, flags = _header_fields(words, starts)
+    fids, seqs, ns, flags = _numpy_header_fields(words, starts)
     expected = 8 * ns.astype(np.int64) + _HEADER.size
     if bool((expected != lens).any()):
         bad = int(np.argmax(expected != lens))
@@ -282,106 +242,6 @@ def decode_header_fields(
             f"{int(lens[bad])} bytes"
         )
     return fids.tolist(), seqs.tolist(), ns.tolist(), flags.tolist()
-
-
-def decode_header_batch(datas: Sequence[bytes]) -> List[Tuple]:
-    """Bulk :func:`decode_header`: one vectorized parse per batch.
-
-    Semantically ``[decode_header(d) for d in datas]`` — same tuples,
-    same :class:`WireFormatError` on any malformed frame — but the
-    whole batch is joined and split with numpy instead of one
-    ``struct`` call per packet.  Small batches fall back to the cached
-    per-packet structs (bit-identical, just cheaper at that size).
-    Callers that do not need per-packet tuples should prefer
-    :func:`decode_header_fields`, which skips the tuple zip.
-    """
-    if len(datas) < _BULK_MIN_BATCH:
-        return [decode_header(data) for data in datas]
-    return list(zip(*decode_header_fields(datas)))
-
-
-def decode_packet_batch(datas: Sequence[bytes]) -> List[CheetahPacket]:
-    """Bulk :func:`decode_packet` over a batch of frames.
-
-    One ``np.frombuffer`` decodes every header *and* every value word;
-    per-packet value tuples are sliced out of the shared word list.
-    Bit-identical to the per-packet decoder (property-tested), raising
-    the same :class:`WireFormatError` taxonomy on malformed frames.
-    """
-    if len(datas) < _BULK_MIN_BATCH:
-        return [decode_packet(data) for data in datas]
-    headers = decode_header_batch(datas)
-    words, starts, _lens = _bulk_words(datas)
-    values = words.tolist()
-    packets = []
-    for (fid, seq, n, flags), start in zip(headers, starts.tolist()):
-        payload = tuple(values[start + 1:start + 1 + n]) if n else ()
-        packets.append(CheetahPacket(fid=fid, seq=seq, values=payload,
-                                     flags=flags))
-    return packets
-
-
-def encode_packet_batch(packets: Sequence[CheetahPacket]) -> List[bytes]:
-    """Bulk :func:`encode_packet`: one array op builds every frame.
-
-    The batch's headers and values are written into a single uint64
-    buffer (big-endian on the way out) and sliced into per-packet
-    byte strings — byte-identical to per-packet encoding.
-    """
-    if len(packets) < _BULK_MIN_BATCH:
-        return [encode_packet(packet) for packet in packets]
-    counts = [len(packet.values) for packet in packets]
-    if counts and (min(counts) < 0 or max(counts) > 0xFF):
-        raise WireFormatError(
-            f"value count must fit the 1-byte header field, got "
-            f"{max(counts)}")
-    word_counts = np.asarray(counts, dtype=np.int64) + 1
-    starts = np.empty(word_counts.size, dtype=np.int64)
-    starts[0] = 0
-    np.cumsum(word_counts[:-1], out=starts[1:])
-    total = int(starts[-1] + word_counts[-1])
-    words = np.empty(total, dtype=np.uint64)
-    flat: List[int] = []
-    header_words = []
-    for packet, n in zip(packets, counts):
-        header_words.append((packet.fid << 48) | (packet.seq << 16)
-                            | (n << 8) | packet.flags)
-        flat.extend(packet.values)
-    mask = np.ones(total, dtype=bool)
-    mask[starts] = False
-    words[starts] = np.asarray(header_words, dtype=np.uint64)
-    if flat:
-        words[mask] = np.asarray(flat, dtype=np.uint64)
-    buffer = words.astype(">u8").tobytes()
-    out = []
-    for start, count in zip(starts.tolist(), word_counts.tolist()):
-        out.append(buffer[8 * start:8 * (start + count)])
-    return out
-
-
-def decode_values_batch(datas: Sequence[bytes],
-                        ns: Sequence[int]) -> List[tuple]:
-    """Bulk :func:`decode_values` for header-checked frames.
-
-    ``ns`` carries each frame's claimed value count (usually from
-    :func:`decode_header_batch`); short payloads raise
-    :class:`WireFormatError` exactly like the scalar path.
-    """
-    if len(datas) < _BULK_MIN_BATCH:
-        return [decode_values(data, n) for data, n in zip(datas, ns)]
-    words, starts, lens = _bulk_words(datas)
-    counts = np.asarray(ns, dtype=np.int64)
-    expected = 8 * counts + _HEADER.size
-    if bool((counts < 0).any()) or bool((lens < expected).any()):
-        bad = int(np.argmax((counts < 0) | (lens < expected)))
-        raise WireFormatError(
-            f"value payload too short: header claims {int(counts[bad])} "
-            f"values ({int(expected[bad])} bytes), got {int(lens[bad])} "
-            f"bytes"
-        )
-    values = words.tolist()
-    return [tuple(values[start + 1:start + 1 + n]) if n else ()
-            for start, n in zip(starts.tolist(), counts.tolist())]
 
 
 def encode_ack(ack: Ack) -> bytes:

@@ -35,7 +35,7 @@ class TestFacadeSurface:
                                     "ServeConfig"}
         for name in api.__all__:
             assert hasattr(api, name)
-        assert API_VERSION == 1
+        assert API_VERSION == 2
 
     def test_serve_config_resolves_policy_strings(self):
         assert ServeConfig(policy="tiers").scheduler_config() \

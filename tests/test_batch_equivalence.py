@@ -235,6 +235,11 @@ def test_make_sharded_single_shard_returns_bare_pruner():
     assert isinstance(pruner, DistinctPruner)
 
 
+def test_make_sharded_rejects_zero_shards():
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        make_sharded(lambda: DistinctPruner(rows=32, width=2), 0)
+
+
 # -- register-level pipeline programs ---------------------------------------
 
 @SETTINGS

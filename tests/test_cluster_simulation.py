@@ -298,6 +298,18 @@ class TestCliAndBench:
         assert code == 2
         assert "loss_rate must be in [0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bench", ["e2e", "concurrency", "replay",
+                                       "qos", "chaos", "load", "obs"])
+    def test_cli_bench_rejects_out_of_range_loss(self, bench, capsys,
+                                                 tmp_path):
+        from repro.cli import main
+
+        code = main(["bench", bench, "--loss", "1.0",
+                     "--results-dir", str(tmp_path)])
+        assert code == 2
+        assert ("repro bench: --loss must be in [0, 1), got 1.0"
+                in capsys.readouterr().err)
+
     def test_cli_ambiguous_name_hints_e2e(self, capsys, tmp_path):
         from repro.cli import main
 

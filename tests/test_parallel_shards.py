@@ -1,23 +1,11 @@
-"""ProcessPoolShardExecutor: bit-identity with the serial facade (PR 9).
+"""``make_sharded``: which facade it builds for a given shard count.
 
-The executor ships each shard's pruner to a worker process; these
-tests pin the determinism contract — decisions, merged statistics, and
-checkpoint interplay are identical to :class:`ShardedPruner` — plus
-the worker lifecycle (lazy spawn, sync-back, close).
+More than one shard gives a serial :class:`ShardedPruner`; a single
+shard gives the bare pruner with no facade around it.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.cluster.runtime import (
-    ProcessPoolShardExecutor,
-    ShardedPruner,
-    ShardedSwitchFrontend,
-    make_sharded,
-)
-from repro.core import DistinctPruner, GroupByPruner, JoinPruner
-from repro.core.join import JoinSide
-from repro.switch.compiler import QuerySpec
+from repro.cluster.runtime import ShardedPruner, make_sharded
+from repro.core import DistinctPruner
 
 SHARDS = 3
 
@@ -26,204 +14,12 @@ def _distinct_factory(seed=7):
     return lambda: DistinctPruner(rows=256, width=2, seed=seed)
 
 
-def _stream(n, spread=40, seed=3):
-    import random
-    rng = random.Random(seed)
-    return [rng.randrange(spread) for _ in range(n)]
-
-
-class TestExecutorBitIdentity:
-    def test_offer_batch_matches_serial(self):
-        stream = _stream(600)
-        serial = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        with make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                          parallel=True) as pool:
-            assert isinstance(pool, ProcessPoolShardExecutor)
-            expected = serial.offer_batch(stream)
-            got = pool.offer_batch(stream)
-            assert got == expected
-            assert pool.stats == serial.stats
-            assert pool.per_shard_stats() == serial.per_shard_stats()
-
-    def test_offer_matches_serial(self):
-        stream = _stream(60)
-        serial = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        with make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                          parallel=True) as pool:
-            assert [pool.offer(e) for e in stream] == \
-                [serial.offer(e) for e in stream]
-
-    def test_mixed_offer_and_batch(self):
-        stream = _stream(300)
-        serial = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        with make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                          parallel=True) as pool:
-            expected = ([serial.offer(e) for e in stream[:50]]
-                        + serial.offer_batch(stream[50:250])
-                        + [serial.offer(e) for e in stream[250:]])
-            got = ([pool.offer(e) for e in stream[:50]]
-                   + pool.offer_batch(stream[50:250])
-                   + [pool.offer(e) for e in stream[250:]])
-            assert got == expected
-
-    def test_two_pass_join(self):
-        import random
-        rng = random.Random(5)
-        first = [(JoinSide.A, rng.randrange(200)) for _ in range(300)]
-        second = [(JoinSide.B, rng.randrange(200)) for _ in range(300)]
-        factory = lambda: JoinPruner(size_bits=64 * 1024, hashes=3, seed=1)
-        serial = make_sharded(factory, SHARDS, "join", seed=0)
-        with make_sharded(factory, SHARDS, "join", seed=0,
-                          parallel=True) as pool:
-            expected = serial.offer_batch(first)
-            serial.start_second_pass()
-            expected += serial.offer_batch(second)
-            got = pool.offer_batch(first)
-            pool.start_second_pass()
-            got += pool.offer_batch(second)
-            assert got == expected
-            assert pool.stats == serial.stats
-
-    def test_reset_and_reuse(self):
-        stream = _stream(200)
-        with make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                          parallel=True) as pool:
-            first = pool.offer_batch(stream)
-            pool.reset()
-            assert pool.offer_batch(stream) == first
-            assert pool.stats.offered == len(stream)
-
-    @given(st.lists(st.integers(0, 50), max_size=200))
-    @settings(max_examples=15, deadline=None)
-    def test_property_bit_identity(self, stream):
-        serial = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        with make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                          parallel=True) as pool:
-            assert pool.offer_batch(stream) == serial.offer_batch(stream)
-
-
-class TestWorkerLifecycle:
-    def test_lazy_spawn_and_close(self):
-        pool = make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                            parallel=True)
-        assert not pool.parallel_active
-        pool.offer_batch(_stream(50))
-        assert pool.parallel_active
-        pool.close()
-        assert not pool.parallel_active
-
-    def test_sync_pulls_state_back_into_local_objects(self):
-        stream = _stream(300)
-        serial = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        serial.offer_batch(stream)
-        pool = make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                            parallel=True)
-        locals_before = list(pool.pruners)
-        pool.offer_batch(stream)
-        pool.sync()
-        assert not pool.parallel_active
-        # Identity preserved: the same objects now hold worker state.
-        assert pool.pruners == locals_before \
-            or all(a is b for a, b in zip(pool.pruners, locals_before))
-        assert [p.stats for p in pool.pruners] == \
-            [p.stats for p in serial.pruners]
-
-    def test_respawn_after_sync_continues_bit_identically(self):
-        stream = _stream(600)
-        serial = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        expected = serial.offer_batch(stream)
-        pool = make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                            parallel=True)
-        got = pool.offer_batch(stream[:300])
-        pool.sync()   # state comes home; workers stop
-        got += pool.offer_batch(stream[300:])  # workers respawn
-        pool.close()
-        assert got == expected
-
-    def test_worker_exception_propagates(self):
-        with make_sharded(_distinct_factory(), SHARDS, None, seed=0,
-                          parallel=True) as pool:
-            pool.offer_batch(_stream(40))
-            with pytest.raises(AttributeError):
-                pool._broadcast(("call", "no_such_method", ()))
-
-
-class TestParallelFrontend:
-    def _spec(self):
-        return QuerySpec("distinct", params=(("rows", 256), ("width", 2)))
-
-    def test_frontend_parallel_matches_serial(self):
-        stream = _stream(500)
-        serial = ShardedSwitchFrontend(shards=SHARDS, seed=0)
-        parallel = ShardedSwitchFrontend(shards=SHARDS, seed=0,
-                                         parallel=True)
-        fid_s = serial.install_query(self._spec()).fid
-        fid_p = parallel.install_query(self._spec()).fid
-        assert parallel.offer_batch(fid_p, stream) == \
-            serial.offer_batch(fid_s, stream)
-        assert parallel.per_shard_stats() == serial.per_shard_stats()
-        parallel.uninstall_query(fid_p)
-        assert not parallel._installed
-
-    def test_suspend_resume_under_parallel(self):
-        stream = _stream(600)
-        serial = ShardedSwitchFrontend(shards=SHARDS, seed=0)
-        parallel = ShardedSwitchFrontend(shards=SHARDS, seed=0,
-                                         parallel=True)
-        fid_s = serial.install_query(self._spec()).fid
-        fid_p = parallel.install_query(self._spec()).fid
-        expected = serial.offer_batch(fid_s, stream[:300])
-        got = parallel.offer_batch(fid_p, stream[:300])
-        checkpoint = parallel.suspend_query(fid_p)
-        assert checkpoint is not None
-        view = checkpoint.installation.compiled.pruner
-        assert isinstance(view, ProcessPoolShardExecutor)
-        assert not view.parallel_active  # state synced home
-        parallel.resume_query(checkpoint)
-        expected += serial.offer_batch(fid_s, stream[300:])
-        got += parallel.offer_batch(fid_p, stream[300:])
-        assert got == expected
-        parallel.uninstall_query(fid_p)
-
-    def test_kill_and_restart_shard_under_parallel(self):
-        stream = _stream(600)
-        serial = ShardedSwitchFrontend(shards=SHARDS, seed=0)
-        parallel = ShardedSwitchFrontend(shards=SHARDS, seed=0,
-                                         parallel=True)
-        fid_s = serial.install_query(self._spec()).fid
-        fid_p = parallel.install_query(self._spec()).fid
-        expected = serial.offer_batch(fid_s, stream[:200])
-        got = parallel.offer_batch(fid_p, stream[:200])
-        parallel.kill_shard(1)
-        serial.kill_shard(1)
-        expected += serial.offer_batch(fid_s, stream[200:400])
-        got += parallel.offer_batch(fid_p, stream[200:400])
-        parallel.restart_shard(1)
-        serial.restart_shard(1)
-        expected += serial.offer_batch(fid_s, stream[400:])
-        got += parallel.offer_batch(fid_p, stream[400:])
-        assert got == expected
-        parallel.uninstall_query(fid_p)
-
-
 class TestMakeShardedFlag:
     def test_serial_default(self):
         pruner = make_sharded(_distinct_factory(), SHARDS, None, seed=0)
-        assert isinstance(pruner, ShardedPruner)
-        assert not isinstance(pruner, ProcessPoolShardExecutor)
+        assert type(pruner) is ShardedPruner
+        assert len(pruner.per_shard_stats()) == SHARDS
 
     def test_single_shard_is_bare(self):
-        pruner = make_sharded(_distinct_factory(), 1, None, seed=0,
-                              parallel=True)
+        pruner = make_sharded(_distinct_factory(), 1, None, seed=0)
         assert isinstance(pruner, DistinctPruner)
-
-    def test_groupby_routing_parallel(self):
-        import random
-        rng = random.Random(11)
-        stream = [(rng.randrange(30), rng.randrange(100))
-                  for _ in range(400)]
-        factory = lambda: GroupByPruner(rows=128, width=6, seed=2)
-        serial = make_sharded(factory, SHARDS, "groupby", seed=0)
-        with make_sharded(factory, SHARDS, "groupby", seed=0,
-                          parallel=True) as pool:
-            assert pool.offer_batch(stream) == serial.offer_batch(stream)

@@ -2,8 +2,8 @@
 
 Covers the codec error taxonomy (malformed bytes raise only
 ``WireFormatError``, never a raw ``struct.error``), the interned
-``struct.Struct`` cache, and the bit-identity of the bulk
-``np.frombuffer`` tier against the per-packet tier.
+``struct.Struct`` cache, and the bit-identity of the column
+``decode_header_fields`` tier against the per-packet tier.
 """
 
 import struct
@@ -16,14 +16,10 @@ from repro.net.wire import (
     _BULK_MIN_BATCH,
     WireFormatError,
     decode_header,
-    decode_header_batch,
     decode_header_fields,
     decode_packet,
-    decode_packet_batch,
     decode_values,
-    decode_values_batch,
     encode_packet,
-    encode_packet_batch,
 )
 
 values64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -95,13 +91,7 @@ class TestErrorTaxonomy:
                 for i in range(_BULK_MIN_BATCH)]
         for bad in (b"", b"\x01" * 7, good[0][:-1], good[0] + b"\x00"):
             with pytest.raises(WireFormatError):
-                decode_header_batch(good + [bad])
-            with pytest.raises(WireFormatError):
                 decode_header_fields(good + [bad])
-            with pytest.raises(WireFormatError):
-                decode_packet_batch(good + [bad])
-        with pytest.raises(WireFormatError):
-            decode_values_batch(good + [good[0][:-8]], [2] * len(good) + [2])
 
     @given(st.binary(max_size=64))
     @settings(max_examples=200)
@@ -202,7 +192,7 @@ class TestRoundTripBoundaries:
 
 
 class TestBulkBitIdentity:
-    """The np.frombuffer bulk tier is bit-identical to the per-packet
+    """The np.frombuffer column tier is bit-identical to the per-packet
     tier across random batches (including batches below the bulk
     threshold, which take the scalar fallback)."""
 
@@ -210,29 +200,24 @@ class TestBulkBitIdentity:
     @settings(max_examples=50)
     def test_bulk_encode_decode_identity(self, batch):
         frames = [encode_packet(p) for p in batch]
-        assert encode_packet_batch(batch) == frames
-        assert decode_header_batch(frames) == [decode_header(f)
-                                               for f in frames]
         fids, seqs, ns_col, flags = decode_header_fields(frames)
         assert list(zip(fids, seqs, ns_col, flags)) == \
             [decode_header(f) for f in frames]
-        assert decode_packet_batch(frames) == [decode_packet(f)
-                                               for f in frames]
-        ns = [len(p.values) for p in batch]
-        assert decode_values_batch(frames, ns) == [p.values
-                                                   for p in batch]
 
     def test_bulk_types_are_python_ints(self):
         batch = [_packet(2, seq=i) for i in range(_BULK_MIN_BATCH + 4)]
-        frames = encode_packet_batch(batch)
-        for header in decode_header_batch(frames):
-            assert all(type(field) is int for field in header)
-        for packet in decode_packet_batch(frames):
-            assert all(type(v) is int for v in packet.values)
+        frames = [encode_packet(p) for p in batch]
+        for column in decode_header_fields(frames):
+            assert all(type(field) is int for field in column)
 
     def test_boundary_value_survives_bulk(self):
         top = (1 << 64) - 1
-        batch = [CheetahPacket(fid=1, seq=i, values=(top, 0), flags=0)
+        # All-ones header words too: fid/seq/flags at their maxima.
+        batch = [CheetahPacket(fid=0xFFFF, seq=(1 << 32) - 1 - i,
+                               values=(top, 0), flags=0xFF)
                  for i in range(_BULK_MIN_BATCH)]
-        frames = encode_packet_batch(batch)
-        assert decode_packet_batch(frames) == batch
+        frames = [encode_packet(p) for p in batch]
+        columns = decode_header_fields(frames)
+        assert list(zip(*columns)) == [decode_header(f) for f in frames]
+        assert [decode_values(f, n) for f, n in zip(frames, columns[2])] \
+            == [p.values for p in batch]

@@ -159,8 +159,8 @@ def fig5_completion(scale: float = 5e-4, seed: int = 1,
     switch pipelines (the ``--shards`` scenario axis); compound queries
     (A+B) keep their parts unsharded.
     """
-    tables, ratio = _bigdata_setup(scale, seed)
     runtime = CheetahRuntime(network_bps=network_bps, shards=shards)
+    tables, ratio = _bigdata_setup(scale, seed)
     spark = SparkBaseline()
     rows = []
     for label, key in _FIG5_QUERIES:

@@ -216,3 +216,22 @@ def run_hotpath_profile(rows: int = 200_000, shards: int = 4,
         "scheduler_loop": _profile_scheduler_loop(tenants, serve_rows,
                                                   shards, seed),
     }
+
+
+def check_hotpath_profile(profile: Dict) -> None:
+    """The CI gates on a ``PROFILE_hotpath.json`` payload (raises
+    ``AssertionError``; ``scripts/check_bench.py`` applies it)."""
+    assert profile["benchmark"] == "hotpath_profile"
+    codec = profile["codec_pipeline"]
+    assert codec["packets"] == profile["rows"]
+    # Canonical kernel keys (repro.obs.names).
+    for key in ("encode_packet", "decode_header",
+                "decode_values", "offer_batch"):
+        assert codec[key]["per_packet_seconds"] > 0, key
+    # The vectorized dataplane is the tracked win; even at CI's
+    # tiny row count the batched offer path must be ahead.
+    assert codec["offer_batch"]["batched_speedup"] > 1.0, codec["offer_batch"]
+    assert codec["hotspots"], "no codec hotspots recorded"
+    sched = profile["scheduler_loop"]
+    assert sched["all_equivalent"] is True, "profiled serve diverged"
+    assert sched["ticks"] > 0 and sched["hotspots"]

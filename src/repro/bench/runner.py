@@ -281,8 +281,7 @@ def _decision_fingerprint(decisions: Sequence[bool]) -> str:
 
 
 def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
-                          batch_size: int = 8192, seed: int = 0,
-                          verify: bool = True) -> Dict:
+                          batch_size: int = 8192, seed: int = 0) -> Dict:
     """The Figure 11 scale benchmark: per-packet vs batched dataplane.
 
     Runs every fig11 pruner over growing prefixes of its stream (three
@@ -290,7 +289,7 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
     path and once through the batched ``offer_batch`` path — both
     sharded across ``shards`` simulated switch pipelines when
     ``shards > 1`` — and records wall-clock timings, pruning fractions,
-    speedups, and (with ``verify``) decision equivalence.
+    speedups, and decision equivalence.
 
     Returns the payload for ``BENCH_fig11.json``; the headline
     ``overall_speedup_at_largest`` is total per-packet time over total
@@ -303,6 +302,8 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
 
     if rows < 40:
         raise ValueError(f"rows too small for the fig11 streams: {rows}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     row_counts = sorted({max(10, rows // 4), max(10, rows // 2), rows})
     cases = _fig11_cases(rows, seed)
     algorithms: Dict[str, List[Dict]] = {}
@@ -327,8 +328,7 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
                                                 case.two_pass, batch_size)
             batch_seconds = time.perf_counter() - start
             equivalent = (packet_decisions == batch_decisions
-                          and packet_pruner.stats == batch_pruner.stats
-                          ) if verify else None
+                          and packet_pruner.stats == batch_pruner.stats)
             stats = batch_pruner.stats
             series.append({
                 "rows": len(prefix),
@@ -372,10 +372,9 @@ def run_fig11_scale_bench(rows: int = 60_000, shards: int = 1,
         },
         "overall_speedup_at_largest": (largest["packet"] / largest["batch"]
                                        if largest["batch"] > 0 else None),
-        "all_equivalent": (all(point["equivalent"]
-                               for series in algorithms.values()
-                               for point in series)
-                           if verify else None),
+        "all_equivalent": all(point["equivalent"]
+                              for series in algorithms.values()
+                              for point in series),
     }
 
 
@@ -1334,20 +1333,14 @@ LOAD_PRIORITY_MIX = ("interactive", "standard", "batch")
 
 def _wall_stats(samples: Sequence[float]) -> Dict:
     """Nearest-rank percentiles of wall-clock latencies (seconds)."""
-    import math
-
-    ordered = sorted(samples)
-
-    def pick(fraction: float) -> float:
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        return ordered[rank - 1]
+    from repro.cluster.scheduler import _percentile
 
     return {
-        "p50_seconds": pick(0.50),
-        "p95_seconds": pick(0.95),
-        "p99_seconds": pick(0.99),
-        "mean_seconds": sum(ordered) / len(ordered),
-        "max_seconds": ordered[-1],
+        "p50_seconds": _percentile(samples, 0.50),
+        "p95_seconds": _percentile(samples, 0.95),
+        "p99_seconds": _percentile(samples, 0.99),
+        "mean_seconds": sum(samples) / len(samples),
+        "max_seconds": max(samples),
     }
 
 

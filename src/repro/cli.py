@@ -51,12 +51,27 @@ specified in ``docs/TRACES.md``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench import experiments as ex
-from repro.bench.runner import ExperimentResult, save_result
+from repro.bench.runner import (
+    ExperimentResult,
+    emit_bench_json,
+    run_chaos_bench,
+    run_concurrency_bench,
+    run_congestion_bench,
+    run_e2e_bench,
+    run_fig5_bench,
+    run_fig11_scale_bench,
+    run_load_bench,
+    run_obs_bench,
+    run_qos_bench,
+    run_replay_bench,
+    save_result,
+)
 
 #: Experiment registry: id -> zero-argument callable.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
@@ -288,7 +303,7 @@ def _announce_trace(args, config, path: str, version: int) -> None:
           f"(version {version}; replay with: {replay_cmd})")
 
 
-def _serve_socket(args, config, policy, chaos=None) -> int:
+def _serve_socket(args, config, chaos=None) -> int:
     """``repro serve --listen``: the asyncio socket frontend."""
     import asyncio
 
@@ -319,7 +334,8 @@ def _serve_socket(args, config, policy, chaos=None) -> int:
         await server.start()
         bound_host, bound_port = server.address
         print(f"== serve: listening on {bound_host}:{bound_port} "
-              f"(proto/v1, policy={policy.name}, slots={config.slots}, "
+              f"(proto/v1, policy={config.policy.name}, "
+              f"slots={config.slots}, "
               f"loss={config.loss_rate} reorder={config.reorder_window} "
               f"shards={config.shards}) ==", flush=True)
         if args.max_queries:
@@ -362,11 +378,9 @@ def _serve_socket(args, config, policy, chaos=None) -> int:
 
 def _serve(args) -> int:
     """Serve N concurrent tenants over shared simulated switches."""
-    from repro.cluster.qos import parse_policy
     from repro.cluster.scheduler import (
         DEFAULT_TENANT_MIX,
         QueryScheduler,
-        SchedulerConfig,
         tenant_specs,
     )
     from repro.cluster.simulation import SCENARIOS, SimulationError
@@ -383,19 +397,10 @@ def _serve(args) -> int:
     priorities = (tuple(args.priorities.split(","))
                   if args.priorities else None)
     try:
-        policy = parse_policy(args.policy)
-        config = SchedulerConfig(
+        config = _scheduler_config(
+            args, _make_obs(args),
             slots=(args.slots if args.slots is not None
-                   else args.tenants),
-            queue_when_full=not args.reject_when_full,
-            policy=policy,
-            workers=args.workers, loss_rate=args.loss,
-            reorder_window=args.reorder, shards=args.shards,
-            seed=args.seed,
-            congestion=args.congestion,
-            queue_capacity=args.queue_capacity,
-            obs=_make_obs(args),
-        )
+                   else args.tenants))
     except ValueError as error:
         print(f"repro serve: {error}", file=sys.stderr)
         return 2
@@ -403,7 +408,7 @@ def _serve(args) -> int:
     if code is not None:
         return code
     if args.listen is not None:
-        return _serve_socket(args, config, policy, chaos)
+        return _serve_socket(args, config, chaos)
     try:
         specs = tenant_specs(args.tenants, rows=args.rows,
                              seed=args.seed, mix=mix,
@@ -422,7 +427,7 @@ def _serve(args) -> int:
         trace.save(args.record_trace)
         _announce_trace(args, config, args.record_trace, trace.version)
     print(f"== serve: {args.tenants} tenants, {config.slots} slots, "
-          f"policy={policy.name}, loss={args.loss} "
+          f"policy={config.policy.name}, loss={args.loss} "
           f"reorder={args.reorder} shards={args.shards} ==")
     ok = _print_tenant_outcomes(
         report, lambda t: f"wait={t.wait_ticks:<5d} "
@@ -444,8 +449,7 @@ def _serve(args) -> int:
 
 def _replay(args) -> int:
     """Replay a recorded/generated arrival trace through the scheduler."""
-    from repro.cluster.qos import parse_policy
-    from repro.cluster.scheduler import SchedulerConfig, replay_trace
+    from repro.cluster.scheduler import replay_trace
     from repro.cluster.simulation import SCENARIOS, SimulationError
     from repro.workloads.traces import generate_trace, load_trace
 
@@ -501,20 +505,16 @@ def _replay(args) -> int:
         # tiers their standard-class queries would be locked out of
         # small budgets by the reservation floors.
         hinted = any(q.priority is not None for q in trace.queries)
-        policy = parse_policy(args.policy if args.policy is not None
-                              else "tiers" if hinted else "fifo")
-        loss = (args.loss if args.loss is not None
-                else trace.loss_rate if trace.loss_rate is not None
-                else 0.0)
-        shards = (args.shards if args.shards is not None
-                  else trace.shards if trace.shards is not None else 1)
-        config = SchedulerConfig(
-            slots=args.slots, queue_when_full=not args.reject_when_full,
-            policy=policy, workers=args.workers, loss_rate=loss,
-            reorder_window=args.reorder, shards=shards, seed=args.seed,
-            congestion=args.congestion,
-            queue_capacity=args.queue_capacity,
-            obs=_make_obs(args))
+        config = _scheduler_config(
+            args, _make_obs(args),
+            policy=(args.policy if args.policy is not None
+                    else "tiers" if hinted else "fifo"),
+            loss=(args.loss if args.loss is not None
+                  else trace.loss_rate if trace.loss_rate is not None
+                  else 0.0),
+            shards=(args.shards if args.shards is not None
+                    else trace.shards if trace.shards is not None
+                    else 1))
         report = replay_trace(trace, config, apply_overrides=False,
                               chaos=chaos)
     except (OSError, ValueError, SimulationError) as error:
@@ -522,7 +522,7 @@ def _replay(args) -> int:
         return 2
     source = trace_file or f"generated {args.gen}"
     print(f"== replay: {source} ({len(trace.queries)} queries, "
-          f"{config.slots} slots, policy={policy.name}, "
+          f"{config.slots} slots, policy={config.policy.name}, "
           f"loss={config.loss_rate} shards={config.shards}) ==")
     if not trace.queries:
         print("  empty trace: nothing to replay")
@@ -596,12 +596,7 @@ def _print_chaos_outcomes(controller) -> None:
 def _chaos(args) -> int:
     """Serve a scenario fleet under fault injection; verify survivors."""
     from repro.cluster.chaos import ChaosController, generate_schedule
-    from repro.cluster.qos import parse_policy
-    from repro.cluster.scheduler import (
-        QueryScheduler,
-        SchedulerConfig,
-        tenant_specs,
-    )
+    from repro.cluster.scheduler import QueryScheduler, tenant_specs
     from repro.cluster.simulation import SCENARIOS, SimulationError
 
     if args.scenario not in SCENARIOS:
@@ -615,15 +610,9 @@ def _chaos(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        policy = parse_policy(args.policy)
-        config = SchedulerConfig(
-            slots=(args.slots if args.slots is not None
-                   else args.tenants),
-            policy=policy, workers=args.workers, loss_rate=args.loss,
-            reorder_window=args.reorder, shards=args.shards,
-            seed=args.seed,
-            congestion=args.congestion,
-            queue_capacity=args.queue_capacity)
+        config = _scheduler_config(
+            args, slots=(args.slots if args.slots is not None
+                         else args.tenants))
     except ValueError as error:
         print(f"repro chaos: {error}", file=sys.stderr)
         return 2
@@ -658,8 +647,6 @@ def _chaos(args) -> int:
     # the equivalence reference, not the run being observed.
     obs = _make_obs(args)
     if obs is not None:
-        import dataclasses
-
         config = dataclasses.replace(config, obs=obs)
     try:
         report = QueryScheduler(config).serve(specs, chaos=controller)
@@ -671,23 +658,7 @@ def _chaos(args) -> int:
           f"loss={args.loss}, {len(schedule.events)} scheduled "
           f"events ==")
     for record in controller.applied:
-        effect = {
-            "kill_shard": lambda r: f"{r['migrated_queries']} queries "
-                                    "migrated to survivors",
-            "restart": lambda r: f"{r['restored_queries']} queries "
-                                 "restored"
-                                 + (f" after {r['recovery_ticks']} "
-                                    "ticks down"
-                                    if "recovery_ticks" in r else ""),
-            "kill_worker": lambda r: f"{r['replayed_packets']} unacked "
-                                     "packets replayed by survivors",
-            "degrade_channel": lambda r: f"loss={r['loss_rate']} on "
-                                         f"{r['tenants_degraded']} "
-                                         "tenants",
-        }[record["event"]](record)
-        target = record.get("shard", record.get("worker", ""))
-        print(f"  tick {record['applied_tick']:<4d} "
-              f"{record['event']} {target}: {effect}")
+        print(_chaos_effect(record))
     if controller.pending:
         print(f"  ({controller.pending} scheduled events never came "
               "due: run finished first)")
@@ -710,393 +681,397 @@ def _chaos(args) -> int:
     return 1
 
 
-def _bench(args) -> int:
-    from repro.bench.runner import (
-        emit_bench_json,
-        run_chaos_bench,
-        run_concurrency_bench,
-        run_congestion_bench,
-        run_e2e_bench,
-        run_fig5_bench,
-        run_fig11_scale_bench,
-        run_load_bench,
-        run_obs_bench,
-        run_qos_bench,
-        run_replay_bench,
-    )
+def _e2e_summary(payload) -> None:
+    for row in payload["scenarios"] + payload["loss_sweep"]:
+        print(f"  {row['scenario']:12s} loss={row['loss_rate']:<5} "
+              f"seq={row['sequential_seconds']:.3f}s "
+              f"pipe={row['pipelined_seconds']:.3f}s "
+              f"speedup={row['speedup']:.2f}x "
+              f"equivalent={row['pipelined_equivalent']}")
+    print(f"  overall pipelined speedup: "
+          f"{payload['overall_speedup']:.2f}x")
 
-    if args.shards < 1:
-        print(f"repro bench: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    if args.batch_size < 1:
-        print(f"repro bench: --batch-size must be >= 1, got "
-              f"{args.batch_size}", file=sys.stderr)
-        return 2
-    if args.rows is None:
-        args.rows = {"e2e": 1200, "concurrency": 240,
-                     "replay": 100, "qos": 260, "chaos": 260,
-                     "load": 24, "congestion": 200,
-                     "obs": 240}.get(args.name, 60_000)
-    if args.slots is None:
-        # The QoS bench needs slack above the tiers policy's two
-        # reserved slots; the replay bench wants a tight budget; the
-        # load bench wants enough parallelism for a client swarm; the
-        # chaos bench wants every tenant in flight when a kill lands;
-        # the congestion bench wants its sweep tenants all concurrent
-        # so they contend for the finite ingress queues.
-        args.slots = {"qos": 3, "load": 8, "chaos": 4,
-                      "congestion": 4, "obs": 4}.get(args.name, 2)
-    if (args.name in ("e2e", "concurrency", "replay", "qos", "chaos",
-                      "load", "obs")
-            and not 0.0 <= args.loss < 1.0):
-        print(f"repro bench: --loss must be in [0, 1), got {args.loss}",
-              file=sys.stderr)
-        return 2
-    if args.name == "fig11" and args.rows < 40:
-        print(f"repro bench: --rows must be >= 40 for the fig11 streams, "
-              f"got {args.rows}", file=sys.stderr)
-        return 2
-    if args.name == "e2e":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for e2e, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        if args.reorder < 0:
-            print(f"repro bench: --reorder must be >= 0, got "
-                  f"{args.reorder}", file=sys.stderr)
-            return 2
-        payload = run_e2e_bench(rows=args.rows, shards=args.shards,
-                                loss_rate=args.loss,
-                                reorder_window=args.reorder,
-                                seed=args.seed)
-        path = emit_bench_json("e2e", payload, args.results_dir)
-        print(f"e2e bench: rows={args.rows} shards={args.shards} "
-              f"loss={args.loss} reorder={args.reorder}")
-        for row in payload["scenarios"] + payload["loss_sweep"]:
-            print(f"  {row['scenario']:12s} loss={row['loss_rate']:<5} "
-                  f"seq={row['sequential_seconds']:.3f}s "
-                  f"pipe={row['pipelined_seconds']:.3f}s "
-                  f"speedup={row['speedup']:.2f}x "
-                  f"equivalent={row['pipelined_equivalent']}")
-        print(f"  overall pipelined speedup: "
-              f"{payload['overall_speedup']:.2f}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: an e2e run diverged from QueryPlan.run",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "concurrency":
-        if args.tenants < 1:
-            print(f"repro bench: --tenants must be >= 1, got "
-                  f"{args.tenants}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for concurrency, "
-                  f"got {args.rows}", file=sys.stderr)
-            return 2
-        payload = run_concurrency_bench(max_tenants=args.tenants,
-                                        rows=args.rows,
-                                        loss_rate=args.loss,
-                                        reorder_window=args.reorder,
-                                        shards=args.shards,
-                                        seed=args.seed)
-        path = emit_bench_json("concurrency", payload, args.results_dir)
-        print(f"concurrency bench: tenants up to {args.tenants} "
-              f"rows={args.rows} loss={args.loss} shards={args.shards}")
-        for row in payload["runs"]:
-            print(f"  tenants={row['tenants']:<3d} "
-                  f"makespan={row['makespan_ticks']} ticks "
-                  f"throughput={row['throughput_entries_per_tick']:.2f} "
-                  f"entries/tick "
-                  f"consolidation={row['consolidation_speedup']:.2f}x "
-                  f"equivalent={row['all_equivalent']}")
-        print(f"  throughput scaling at {args.tenants} tenants: "
-              f"{payload['throughput_scaling']:.2f}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "replay":
-        if args.queries < 1:
-            print(f"repro bench: --queries must be >= 1, got "
-                  f"{args.queries}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for replay, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        payload = run_replay_bench(queries=args.queries, rows=args.rows,
-                                   slots=args.slots,
-                                   loss_rate=args.loss,
-                                   reorder_window=args.reorder,
-                                   shards=args.shards, seed=args.seed)
-        path = emit_bench_json("replay", payload, args.results_dir)
-        print(f"replay bench: {args.queries} queries/trace "
-              f"rows={args.rows} slots={args.slots} loss={args.loss} "
-              f"shards={args.shards}")
-        for run in payload["runs"]:
-            latency = run["latency"]
-            occupancy = run["occupancy"]
-            print(f"  {run['process']:8s} served={run['served']:<3d} "
-                  f"makespan={run['ticks']} ticks "
-                  f"p50={latency['p50_ticks']} "
-                  f"p95={latency['p95_ticks']} "
-                  f"p99={latency['p99_ticks']} "
-                  f"occ mean={occupancy['mean']:.2f} "
-                  f"peak={occupancy['peak']} "
-                  f"equivalent={run['all_equivalent']}")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a replayed tenant diverged from "
-                  "QueryPlan.run", file=sys.stderr)
-            return 1
-    elif args.name == "qos":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for qos, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        try:
-            payload = run_qos_bench(batch_rows=args.rows,
-                                    slots=args.slots,
-                                    loss_rate=args.loss,
-                                    reorder_window=args.reorder,
-                                    shards=args.shards, seed=args.seed)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("qos", payload, args.results_dir)
-        print(f"qos bench: {payload['batch_tenants']} batch + "
-              f"{payload['interactive_tenants']} interactive tenants, "
-              f"{args.slots} slots, batch rows={args.rows}, "
-              f"loss={args.loss}")
-        for run in payload["runs"]:
-            classes = run["classes"]
-            preempts = payload["preemption_events"][run["policy"]]
-            print(f"  {run['policy']:17s} "
-                  f"interactive p99="
-                  f"{classes['interactive']['latency']['p99_ticks']} "
-                  f"batch p99={classes['batch']['latency']['p99_ticks']} "
-                  f"preemptions={preempts} "
-                  f"equivalent={run['all_equivalent']}")
-        improvement = payload["interactive_p99_improvement"]
-        print(f"  interactive p99 improvement from preemption: "
-              f"{improvement:.2f}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run "
-                  "(preemption broke result identity?)",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "chaos":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for chaos, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        shards = args.shards if args.shards > 1 else 3
-        try:
-            payload = run_chaos_bench(rows=args.rows, slots=args.slots,
-                                      loss_rate=args.loss,
-                                      reorder_window=args.reorder,
-                                      shards=shards, seed=args.seed,
-                                      kills=args.kills)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("chaos", payload, args.results_dir)
-        print(f"chaos bench: {payload['tenants']} tenants, "
-              f"{args.slots} slots, shards={shards}, "
-              f"loss={args.loss}, {args.kills} kills")
-        for record in payload["timeline"]:
-            effect = {
-                "kill_shard": lambda r: f"{r['migrated_queries']} "
-                                        "queries migrated",
-                "restart": lambda r: f"{r['restored_queries']} restored"
-                                     + (f" after {r['recovery_ticks']} "
-                                        "ticks" if "recovery_ticks" in r
-                                        else ""),
-                "kill_worker": lambda r: f"{r['replayed_packets']} "
-                                         "packets replayed",
-                "degrade_channel": lambda r: f"loss={r['loss_rate']} on "
-                                             f"{r['tenants_degraded']} "
-                                             "tenants",
-            }[record["event"]](record)
-            target = record.get("shard", record.get("worker", ""))
-            print(f"  tick {record['applied_tick']:<4d} "
-                  f"{record['event']} {target}: {effect}")
-        if payload["events_pending"]:
-            print(f"  ({payload['events_pending']} scheduled events "
-                  "never came due: run finished first)")
-        print(f"  baseline: {payload['baseline']['ticks']} ticks "
-              f"p99={payload['baseline']['latency']['p99_ticks']} | "
-              f"chaos: {payload['chaos']['ticks']} ticks "
-              f"p99={payload['chaos']['latency']['p99_ticks']}"
-              + (f" (p99 inflation {payload['p99_inflation']:.2f}x)"
-                 if payload["p99_inflation"] is not None else ""))
-        print(f"  migrations={payload['migrations']} "
-              f"restored={payload['restored']} "
-              f"replayed_packets={payload['replayed_packets']} "
-              f"recovery_ticks={payload['recovery_ticks']}")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a surviving tenant diverged from "
-                  "QueryPlan.run (migration broke result identity?)",
-                  file=sys.stderr)
-            return 1
-        print("  survivor equivalence: OK (every tenant identical to "
-              "its solo run)")
-    elif args.name == "congestion":
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for congestion, "
-                  f"got {args.rows}", file=sys.stderr)
-            return 2
-        try:
-            payload = run_congestion_bench(rows=args.rows,
-                                           shards=args.shards,
-                                           seed=args.seed,
-                                           slots=args.slots)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("congestion", payload, args.results_dir)
-        print(f"congestion bench: rows={args.rows} slots={args.slots} "
-              f"losses={payload['losses']} "
-              f"tenants={payload['tenant_counts']} "
-              f"capacities={payload['capacities']}")
-        for cell in payload["sweep"]:
-            cap = cell["queue_capacity"]
-            print(f"  loss={cell['loss_rate']:<5} "
-                  f"tenants={cell['tenants']} "
-                  f"cap={'inf' if cap is None else cap:>3}: "
-                  f"goodput fixed="
-                  f"{cell['fixed']['goodput_entries_per_tick']} "
-                  f"aimd={cell['aimd']['goodput_entries_per_tick']} "
-                  f"(ratio {cell['goodput_ratio']}) "
-                  f"retx fixed={cell['fixed']['retransmissions']} "
-                  f"aimd={cell['aimd']['retransmissions']}")
-        fairness = payload["fairness"]
-        print(f"  fairness: mean rates {fairness['mean_rates']} "
-              f"(normalized spread {fairness['normalized_spread']})")
-        print(f"  serving interactive/batch goodput ratio: "
-              f"{payload['interactive_batch_goodput_ratio']}")
-        print(f"  congested cells (finite queue, loss >= 0.02): "
-              f"aimd/fixed goodput >= "
-              f"{payload['congested_goodput_ratio_min']}, "
-              f"retransmission overhead <= "
-              f"{payload['congested_retransmission_ratio_max']}x")
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run "
-                  "(congestion control broke result identity?)",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "load":
-        if args.clients < 1:
-            print(f"repro bench: --clients must be >= 1, got "
-                  f"{args.clients}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for load, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        policy = args.policy if args.policy is not None else "tiers"
-        try:
-            payload = run_load_bench(
-                clients=args.clients, rows=args.rows,
-                slots=args.slots, loss_rate=args.loss,
-                reorder_window=args.reorder, shards=args.shards,
-                seed=args.seed, policy=policy, process=args.process,
-                closed_clients=args.closed_clients,
-                closed_queries=args.closed_queries)
-        except ValueError as error:
-            print(f"repro bench: {error}", file=sys.stderr)
-            return 2
-        path = emit_bench_json("load", payload, args.results_dir)
-        print(f"load bench: {args.clients} open-loop socket clients "
-              f"({args.process} arrivals), slots={args.slots}, "
-              f"policy={policy}, loss={args.loss}")
 
-        def _phase_line(label, phase):
-            wall = phase["wall_latency"]
-            tick = phase["tick_latency"]
-            print(f"  {label}: served={phase['served']}"
-                  f"/{phase['queries']} "
-                  f"wall p50={wall['p50_seconds'] * 1e3:.1f}ms "
-                  f"p99={wall['p99_seconds'] * 1e3:.1f}ms | "
-                  f"tick p50={tick['p50_ticks']} "
-                  f"p99={tick['p99_ticks']} "
-                  f"equivalent={phase['all_equivalent']}")
+def _check_e2e(e2e) -> None:
+    assert e2e["benchmark"] == "e2e_pipeline"
+    assert e2e["all_equivalent"] is True, "e2e diverged from QueryPlan.run"
+    assert e2e["scenarios"] and e2e["loss_sweep"]
+    for row in e2e["scenarios"] + e2e["loss_sweep"]:
+        assert row["modes_match"] is True, row
+        assert row["pipelined_seconds"] > 0 and row["sequential_seconds"] > 0
 
-        _phase_line("open loop  ", payload["open_loop"])
-        if "closed_loop" in payload:
-            _phase_line("closed loop", payload["closed_loop"])
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a socket-served tenant diverged from "
-                  "QueryPlan.run", file=sys.stderr)
-            return 1
-    elif args.name == "obs":
-        if args.tenants < 1:
-            print(f"repro bench: --tenants must be >= 1, got "
-                  f"{args.tenants}", file=sys.stderr)
-            return 2
-        if args.rows < 20:
-            print(f"repro bench: --rows must be >= 20 for obs, got "
-                  f"{args.rows}", file=sys.stderr)
-            return 2
-        shards = args.shards if args.shards > 1 else 2
-        payload = run_obs_bench(tenants=args.tenants, rows=args.rows,
-                                slots=args.slots, loss_rate=args.loss,
-                                reorder_window=args.reorder,
-                                shards=shards, seed=args.seed)
-        path = emit_bench_json("obs", payload, args.results_dir)
-        serving = payload["serving"]
-        fig11 = payload["fig11"]
-        print(f"obs bench: {args.tenants} tenants rows={args.rows} "
-              f"slots={args.slots} shards={shards} loss={args.loss}")
-        print(f"  serving: off={serving['obs_off_seconds']:.3f}s "
-              f"on={serving['obs_on_seconds']:.3f}s "
-              f"overhead={serving['overhead_ratio']:.3f}x "
-              f"({serving['span_events']} span events, "
-              f"{serving['metric_names']} metrics)")
-        print(f"  fig11 kernel: off={fig11['off_seconds']:.3f}s "
-              f"on={fig11['on_seconds']:.3f}s "
-              f"overhead={fig11['overhead_ratio']:.3f}x "
-              f"({fig11['rows']} rows)")
-        print(f"  decisions identical : {payload['decisions_identical']}")
-        print(f"  exports identical   : {payload['exports_identical']}")
-        if payload["decisions_identical"] is not True:
-            print("  ERROR: obs-on decisions diverged from obs-off",
-                  file=sys.stderr)
-            return 1
-        if payload["exports_identical"] is not True:
-            print("  ERROR: repeated runs exported different bytes",
-                  file=sys.stderr)
-            return 1
-        if payload["all_equivalent"] is not True:
-            print("  ERROR: a tenant diverged from QueryPlan.run",
-                  file=sys.stderr)
-            return 1
-    elif args.name == "fig11":
-        payload = run_fig11_scale_bench(rows=args.rows, shards=args.shards,
-                                        batch_size=args.batch_size,
-                                        seed=args.seed)
-        path = emit_bench_json("fig11", payload, args.results_dir)
-        largest = payload["row_counts"][-1]
-        print(f"fig11 scale bench: rows={largest} shards={args.shards}")
-        for name, series in sorted(payload["algorithms"].items()):
-            point = series[-1]
-            print(f"  {name:10s} packet={point['packet_seconds']:.3f}s "
-                  f"batch={point['batch_seconds']:.3f}s "
-                  f"speedup={point['speedup']:.1f}x "
-                  f"equivalent={point['equivalent']}")
-        print(f"  overall speedup at largest row count: "
-              f"{payload['overall_speedup_at_largest']:.1f}x")
-        if payload["all_equivalent"] is False:
-            print("  ERROR: batched decisions diverged from per-packet",
-                  file=sys.stderr)
-            return 1
+
+def _concurrency_summary(payload) -> None:
+    for row in payload["runs"]:
+        print(f"  tenants={row['tenants']:<3d} "
+              f"makespan={row['makespan_ticks']} ticks "
+              f"throughput={row['throughput_entries_per_tick']:.2f} "
+              f"entries/tick "
+              f"consolidation={row['consolidation_speedup']:.2f}x "
+              f"equivalent={row['all_equivalent']}")
+    print(f"  throughput scaling at {payload['max_tenants']} tenants: "
+          f"{payload['throughput_scaling']:.2f}x")
+
+
+def _check_concurrency(conc) -> None:
+    assert conc["benchmark"] == "concurrency"
+    assert conc["all_equivalent"] is True, "a tenant diverged from QueryPlan.run"
+    assert conc["tenant_counts"][-1] == conc["max_tenants"]
+    for run in conc["runs"]:
+        assert run["served"] == run["tenants"], run
+        assert run["all_equivalent"] is True, run
+    # Tick metrics are deterministic: aggregate throughput must
+    # scale with tenant count and consolidation must beat
+    # back-to-back solo serving.
+    assert conc["throughput_scaling"] > 1.5, conc["throughput_scaling"]
+    assert conc["consolidation_speedup_at_max"] > 1.5, conc
+
+
+def _replay_summary(payload) -> None:
+    for run in payload["runs"]:
+        latency = run["latency"]
+        occupancy = run["occupancy"]
+        print(f"  {run['process']:8s} served={run['served']:<3d} "
+              f"makespan={run['ticks']} ticks "
+              f"p50={latency['p50_ticks']} "
+              f"p95={latency['p95_ticks']} "
+              f"p99={latency['p99_ticks']} "
+              f"occ mean={occupancy['mean']:.2f} "
+              f"peak={occupancy['peak']} "
+              f"equivalent={run['all_equivalent']}")
+
+
+def _check_replay(replay) -> None:
+    assert replay["benchmark"] == "trace_replay"
+    assert replay["all_equivalent"] is True, "a replayed tenant diverged from QueryPlan.run"
+    assert set(replay["processes"]) == {"poisson", "burst", "diurnal", "pareto"}
+    # The headline telemetry keys: tail latency + slot occupancy,
+    # per arrival process, all tick-based and deterministic.
+    for process in replay["processes"]:
+        assert replay["p99_latency_ticks"][process] > 0, process
+        assert replay["peak_occupancy"][process] >= 1, process
+    for run in replay["runs"]:
+        latency = run["latency"]
+        assert latency["p50_ticks"] <= latency["p95_ticks"] <= latency["p99_ticks"], run["process"]
+        assert run["occupancy"]["peak"] <= replay["slots"], run["process"]
+        assert run["occupancy"]["mean"] is not None and run["occupancy"]["timeline"], run["process"]
+
+
+def _qos_summary(payload) -> None:
+    for run in payload["runs"]:
+        classes = run["classes"]
+        preempts = payload["preemption_events"][run["policy"]]
+        print(f"  {run['policy']:17s} "
+              f"interactive p99="
+              f"{classes['interactive']['latency']['p99_ticks']} "
+              f"batch p99={classes['batch']['latency']['p99_ticks']} "
+              f"preemptions={preempts} "
+              f"equivalent={run['all_equivalent']}")
+    print(f"  interactive p99 improvement from preemption: "
+          f"{payload['interactive_p99_improvement']:.2f}x")
+
+
+def _check_qos(qos) -> None:
+    assert qos["benchmark"] == "qos"
+    # Result identity survives preemption: every tenant (incl.
+    # the preempted-and-resumed batch tenants) equals its solo
+    # QueryPlan.run.
+    assert qos["all_equivalent"] is True, "preemption broke result identity"
+    p99 = qos["interactive_p99_ticks"]
+    assert p99["tiers"] < p99["tiers-no-preempt"], p99
+    assert qos["interactive_p99_improvement"] > 1.0, qos["interactive_p99_improvement"]
+    assert qos["preemption_events"]["tiers"] > 0, "preemption never fired"
+    assert qos["preemption_events"]["tiers-no-preempt"] == 0
+
+
+def _chaos_effect(record) -> str:
+    """One applied chaos event as a human line (``repro chaos`` and
+    ``repro bench chaos``)."""
+    event = record["event"]
+    if event == "kill_shard":
+        effect = (f"{record['migrated_queries']} queries migrated to "
+                  "survivors")
+    elif event == "restart":
+        effect = f"{record['restored_queries']} queries restored"
+        if "recovery_ticks" in record:
+            effect += f" after {record['recovery_ticks']} ticks down"
+    elif event == "kill_worker":
+        effect = (f"{record['replayed_packets']} unacked packets "
+                  "replayed by survivors")
     else:
-        payload = run_fig5_bench(scale=args.scale, seed=args.seed,
-                                 shards=args.shards)
-        path = emit_bench_json("fig5", payload, args.results_dir)
-        print(f"fig5 bench: scale={args.scale} shards={args.shards} "
-              f"wall={payload['wall_seconds']:.2f}s "
-              f"({len(payload['rows'])} query rows)")
+        effect = (f"loss={record['loss_rate']} on "
+                  f"{record['tenants_degraded']} tenants")
+    target = record.get("shard", record.get("worker", ""))
+    return (f"  tick {record['applied_tick']:<4d} {event} {target}: "
+            f"{effect}")
+
+
+def _chaos_summary(payload) -> None:
+    for record in payload["timeline"]:
+        print(_chaos_effect(record))
+    if payload["events_pending"]:
+        print(f"  ({payload['events_pending']} scheduled events "
+              "never came due: run finished first)")
+    print(f"  baseline: {payload['baseline']['ticks']} ticks "
+          f"p99={payload['baseline']['latency']['p99_ticks']} | "
+          f"chaos: {payload['chaos']['ticks']} ticks "
+          f"p99={payload['chaos']['latency']['p99_ticks']}"
+          + (f" (p99 inflation {payload['p99_inflation']:.2f}x)"
+             if payload["p99_inflation"] is not None else ""))
+    print(f"  migrations={payload['migrations']} "
+          f"restored={payload['restored']} "
+          f"replayed_packets={payload['replayed_packets']} "
+          f"recovery_ticks={payload['recovery_ticks']}")
+
+
+def _check_chaos(chaos) -> None:
+    assert chaos["benchmark"] == "chaos"
+    # The headline claim: a switch shard was killed mid-query,
+    # its installed queries migrated to survivors, and every
+    # surviving tenant still equals its solo QueryPlan.run.
+    assert chaos["migrations"] >= 1, "no query migration fired"
+    assert chaos["all_equivalent"] is True, "a survivor diverged from QueryPlan.run"
+    kinds = {event["event"] for event in chaos["timeline"]}
+    assert "kill_shard" in kinds, chaos["timeline"]
+    assert chaos["restored"] >= 1, "restart never restored a query"
+    assert chaos["baseline"]["served"] == chaos["chaos"]["served"] == chaos["tenants"]
+
+
+def _congestion_summary(payload) -> None:
+    for cell in payload["sweep"]:
+        cap = cell["queue_capacity"]
+        print(f"  loss={cell['loss_rate']:<5} "
+              f"tenants={cell['tenants']} "
+              f"cap={'inf' if cap is None else cap:>3}: "
+              f"goodput fixed="
+              f"{cell['fixed']['goodput_entries_per_tick']} "
+              f"aimd={cell['aimd']['goodput_entries_per_tick']} "
+              f"(ratio {cell['goodput_ratio']}) "
+              f"retx fixed={cell['fixed']['retransmissions']} "
+              f"aimd={cell['aimd']['retransmissions']}")
+    fairness = payload["fairness"]
+    print(f"  fairness: mean rates {fairness['mean_rates']} "
+          f"(normalized spread {fairness['normalized_spread']})")
+    print(f"  serving interactive/batch goodput ratio: "
+          f"{payload['interactive_batch_goodput_ratio']}")
+    print(f"  congested cells (finite queue, loss >= 0.02): "
+          f"aimd/fixed goodput >= "
+          f"{payload['congested_goodput_ratio_min']}, "
+          f"retransmission overhead <= "
+          f"{payload['congested_retransmission_ratio_max']}x")
+
+
+def _check_congestion(congestion) -> None:
+    assert congestion["benchmark"] == "congestion"
+    # The headline claim: under finite switch ingress queues and
+    # loss >= 0.02, AIMD rate control beats the fixed schedule on
+    # goodput with fewer retransmissions — and never changes a
+    # result (every tenant of every cell equals QueryPlan.run).
+    assert congestion["all_equivalent"] is True, "a transport mode changed a result"
+    assert congestion["congested_goodput_ratio_min"] >= 1.0, congestion["congested_goodput_ratio_min"]
+    assert congestion["congested_retransmission_ratio_max"] < 1.0, congestion["congested_retransmission_ratio_max"]
+    congested = [cell for cell in congestion["sweep"] if cell["congested"]]
+    assert congested, "sweep produced no congested cells"
+    for cell in congested:
+        assert cell["goodput_ratio"] >= 1.0, cell
+    fairness = congestion["fairness"]
+    rates = fairness["mean_rates"]
+    assert rates["interactive"] > rates["standard"] > rates["batch"], rates
+    assert fairness["normalized_spread"] < 2.0, fairness
+
+
+def _load_summary(payload) -> None:
+    for label, key in (("open loop  ", "open_loop"),
+                       ("closed loop", "closed_loop")):
+        if key not in payload:
+            continue
+        phase = payload[key]
+        wall = phase["wall_latency"]
+        tick = phase["tick_latency"]
+        print(f"  {label}: served={phase['served']}/{phase['queries']} "
+              f"wall p50={wall['p50_seconds'] * 1e3:.1f}ms "
+              f"p99={wall['p99_seconds'] * 1e3:.1f}ms | "
+              f"tick p50={tick['p50_ticks']} "
+              f"p99={tick['p99_ticks']} "
+              f"equivalent={phase['all_equivalent']}")
+
+
+def _check_load(payload) -> None:
+    assert payload["benchmark"] == "socket_load"
+    assert payload["all_equivalent"] is True, "a socket client diverged from QueryPlan.run"
+    assert payload["open_loop"]["served"] == payload["clients"]
+    for phase in ("open_loop", "closed_loop"):
+        wall = payload[phase]["wall_latency"]
+        for key in ("p50_seconds", "p95_seconds", "p99_seconds"):
+            assert wall[key] > 0, (phase, key)
+        ticks = payload[phase]["tick_latency"]
+        assert ticks["p50_ticks"] <= ticks["p99_ticks"], phase
+
+
+def _obs_summary(payload) -> None:
+    serving = payload["serving"]
+    fig11 = payload["fig11"]
+    print(f"  serving: off={serving['obs_off_seconds']:.3f}s "
+          f"on={serving['obs_on_seconds']:.3f}s "
+          f"overhead={serving['overhead_ratio']:.3f}x "
+          f"({serving['span_events']} span events, "
+          f"{serving['metric_names']} metrics)")
+    print(f"  fig11 kernel: off={fig11['off_seconds']:.3f}s "
+          f"on={fig11['on_seconds']:.3f}s "
+          f"overhead={fig11['overhead_ratio']:.3f}x "
+          f"({fig11['rows']} rows)")
+    print(f"  decisions identical : {payload['decisions_identical']}")
+    print(f"  exports identical   : {payload['exports_identical']}")
+
+
+def _check_obs(obs) -> None:
+    assert obs["benchmark"] == "obs"
+    # The claims of docs/OBSERVABILITY.md: hooks are
+    # read-only (instrumented schedule fingerprint == bare),
+    # exports are pure functions of the seeds, and the hot
+    # dataplane kernel stays within a 10% overhead budget.
+    assert obs["decisions_identical"] is True, \
+        "instrumentation changed a scheduling decision"
+    assert obs["exports_identical"] is True, \
+        "metrics/span exports not byte-stable across repeats"
+    assert obs["all_equivalent"] is True, "a tenant diverged from QueryPlan.run"
+    ratio = obs["fig11"]["overhead_ratio"]
+    assert ratio <= 1.10, f"fig11 kernel obs overhead {ratio:.3f}x > 1.10x"
+    domain = obs["decision_domain"]
+    assert len(set(domain["schedule_sha256_on"] + [domain["schedule_sha256_off"][0]])) == 1
+    assert obs["serving"]["span_events"] > 0
+    assert obs["serving"]["metric_names"] == 34
+
+
+def _fig11_summary(payload) -> None:
+    for name, series in sorted(payload["algorithms"].items()):
+        point = series[-1]
+        print(f"  {name:10s} packet={point['packet_seconds']:.3f}s "
+              f"batch={point['batch_seconds']:.3f}s "
+              f"speedup={point['speedup']:.1f}x "
+              f"equivalent={point['equivalent']}")
+    print(f"  overall speedup at largest row count: "
+          f"{payload['overall_speedup_at_largest']:.1f}x")
+
+
+def _check_fig11(fig11) -> None:
+    assert fig11["benchmark"] == "fig11_scale"
+    assert fig11["all_equivalent"] is True, "batched path diverged"
+    assert fig11["overall_speedup_at_largest"] > 1.0
+    for name, series in fig11["algorithms"].items():
+        for point in series:
+            assert point["equivalent"] is True, (name, point)
+
+
+def _fig5_summary(payload) -> None:
+    print(f"  wall={payload['wall_seconds']:.2f}s "
+          f"({len(payload['rows'])} query rows)")
+
+
+def _check_fig5(fig5) -> None:
+    assert fig5["benchmark"] == "fig5_completion"
+    assert fig5["rows"], "fig5 bench produced no rows"
+
+
+@dataclasses.dataclass(frozen=True)
+class Bench:
+    """One ``repro bench`` entry.
+
+    ``flags`` maps each flag the runner reads to its default — the
+    bench's sub-parser offers exactly these — and ``params`` renames
+    a flag whose runner keyword differs beyond :data:`_RUNNER_PARAMS`.
+    ``summary(payload)`` prints the human report; the command
+    exits 1 unless every ``identity`` key of the payload is ``True``.
+    ``check(payload)`` asserts the CI gates; ``stable`` names the
+    payload sub-key two same-seed runs must reproduce byte for byte
+    (``""``: the whole file; ``None``: wall clocks throughout).
+    Both run in ``scripts/check_bench.py`` and in pytest.
+    """
+
+    run: Callable[..., Dict]
+    flags: Dict[str, object]
+    summary: Callable[[Dict], None]
+    check: Callable[[Dict], None]
+    params: Dict[str, str] = dataclasses.field(default_factory=dict)
+    stable: Optional[str] = None
+    identity: Tuple[str, ...] = ("all_equivalent",)
+
+
+#: Flags whose runner keyword is spelled differently in every bench.
+_RUNNER_PARAMS = {"loss": "loss_rate", "reorder": "reorder_window"}
+
+#: The lossy transport the serving benches default to.
+_LOSSY = {"loss": 0.05, "reorder": 2}
+
+BENCHES: Dict[str, Bench] = {
+    "fig5": Bench(run_fig5_bench, {"scale": 5e-4, "shards": 1, "seed": 0},
+                  _fig5_summary, _check_fig5, identity=()),
+    "fig11": Bench(run_fig11_scale_bench,
+                   {"rows": 60_000, "shards": 1, "batch_size": 8192,
+                    "seed": 0},
+                   _fig11_summary, _check_fig11, stable="decision_domain"),
+    "e2e": Bench(run_e2e_bench,
+                 {"rows": 1200, "shards": 1, **_LOSSY, "seed": 0},
+                 _e2e_summary, _check_e2e),
+    "concurrency": Bench(run_concurrency_bench,
+                         {"tenants": 8, "rows": 240, "shards": 1,
+                          **_LOSSY, "seed": 0},
+                         _concurrency_summary, _check_concurrency,
+                         params={"tenants": "max_tenants"}),
+    "replay": Bench(run_replay_bench,
+                    {"queries": 8, "rows": 100, "slots": 2, "shards": 1,
+                     **_LOSSY, "seed": 0},
+                    _replay_summary, _check_replay, stable=""),
+    "qos": Bench(run_qos_bench,
+                 {"rows": 260, "slots": 3, "shards": 1, **_LOSSY,
+                  "seed": 0},
+                 _qos_summary, _check_qos, params={"rows": "batch_rows"},
+                 stable=""),
+    "chaos": Bench(run_chaos_bench,
+                   {"rows": 260, "slots": 4, "shards": 3, "kills": 2,
+                    **_LOSSY, "seed": 0},
+                   _chaos_summary, _check_chaos, stable=""),
+    "load": Bench(run_load_bench,
+                  {"clients": 256, "process": "poisson",
+                   "closed_clients": 16, "closed_queries": 2, "rows": 24,
+                   "slots": 8, "policy": "tiers", "shards": 1, **_LOSSY,
+                   "seed": 0},
+                  _load_summary, _check_load,
+                  stable="open_loop.tick_domain"),
+    "congestion": Bench(run_congestion_bench,
+                        {"rows": 200, "slots": 4, "shards": 1, "seed": 0},
+                        _congestion_summary, _check_congestion, stable=""),
+    "obs": Bench(run_obs_bench,
+                 {"tenants": 8, "rows": 240, "slots": 4, "shards": 2,
+                  **_LOSSY, "seed": 0},
+                 _obs_summary, _check_obs, stable="decision_domain",
+                 identity=("decisions_identical", "exports_identical",
+                           "all_equivalent")),
+}
+
+
+def _bench(args) -> int:
+    """``repro bench NAME``: run the registered bench, write its JSON,
+    print its summary."""
+    bench = BENCHES[args.name]
+    kwargs = {bench.params.get(flag, _RUNNER_PARAMS.get(flag, flag)):
+              getattr(args, flag) for flag in bench.flags}
+    try:
+        if "loss" in bench.flags and not 0.0 <= args.loss < 1.0:
+            raise ValueError(f"--loss must be in [0, 1), got {args.loss}")
+        payload = bench.run(**kwargs)
+    except ValueError as error:
+        print(f"repro bench: {error}", file=sys.stderr)
+        return 2
+    path = emit_bench_json(args.name, payload, args.results_dir)
+    print(f"{args.name} bench: " + " ".join(
+        f"{flag}={getattr(args, flag)}" for flag in bench.flags))
+    bench.summary(payload)
+    broken = [key for key in bench.identity if payload[key] is not True]
+    if broken:
+        print(f"  ERROR: {', '.join(broken)} not True in {path}",
+              file=sys.stderr)
+        return 1
     print(f"  -> saved {path}")
     return 0
 
@@ -1104,7 +1079,6 @@ def _bench(args) -> int:
 def _profile(args) -> int:
     """``repro profile``: deterministic hot-path profile -> JSON."""
     from repro.bench.profile import run_hotpath_profile
-    from repro.bench.runner import emit_bench_json
     from repro.obs import names
 
     try:
@@ -1173,44 +1147,94 @@ def _sql_demo(statement: str) -> int:
     return 0
 
 
-def _serving_flags(loss=None, shards=None, slots=None, policy=None,
-                   seed=0, slots_help="serving slots / QueryPack "
-                   "budget") -> argparse.ArgumentParser:
-    """The shared ``--loss/--shards/--slots/--policy/--seed`` parent.
+#: ``add_argument`` spec of every knob ``serve``/``replay``/``chaos``
+#: and the benches share: one spelling, type and help per flag, with
+#: each command supplying only its defaults (README.md's flag matrix).
+_FLAGS: Dict[str, Dict] = {
+    "loss": dict(type=float,
+                 help="per-channel loss probability in [0, 1)"),
+    "shards": dict(type=int, help="simulated switch pipelines to "
+                   "hash-partition entries across"),
+    "slots": dict(type=int, help="serving-slot budget"),
+    "policy": dict(help="QoS policy: fifo, tiers, tiers-no-preempt, or "
+                   "a custom class spec (see docs/QOS.md)"),
+    "seed": dict(type=int, help="deterministic master seed"),
+    "reorder": dict(type=int, help="channel reorder window"),
+    "workers": dict(type=int, help="CWorker partitions per tenant table"),
+    "congestion": dict(choices=["fixed", "aimd"],
+                       help="transport mode: fixed retransmission "
+                       "schedule (default) or AIMD rate control "
+                       "(docs/CONGESTION.md)"),
+    "queue_capacity": dict(type=int, metavar="N",
+                           help="switch ingress-queue slots per pipeline "
+                           "(default: unbounded); finite queues "
+                           "tail-drop and emit the AIMD congestion "
+                           "signal"),
+    "rows": dict(type=int, help="largest stream length (fig11) or rows "
+                 "per scenario / tenant"),
+    "tenants": dict(type=int, help="tenant count (concurrency: the "
+                    "largest of the sweep)"),
+    "queries": dict(type=int, help="queries per generated trace"),
+    "clients": dict(type=int, help="open-loop socket clients"),
+    "process": dict(choices=["poisson", "burst", "diurnal", "pareto"],
+                    help="open-loop arrival process"),
+    "closed_clients": dict(type=int, help="closed-loop connections "
+                           "(0 skips the closed-loop phase)"),
+    "closed_queries": dict(type=int, help="back-to-back queries per "
+                           "closed-loop connection"),
+    "kills": dict(type=int,
+                  help="kill events in the generated failure schedule"),
+    "batch_size": dict(type=int,
+                       help="entries per batch on the batched path"),
+    "scale": dict(type=float, help="workload sampling scale"),
+}
 
-    One definition point so the flags spell and behave identically
-    across ``serve``/``replay``/``bench`` (the matrix of per-command
-    defaults is documented in README.md).  A fresh parser per
-    subcommand, because argparse ``parents=`` shares action objects —
-    one subcommand's default would otherwise leak into the others.
-    ``None`` defaults mean "resolved by the command" (e.g. replay
-    falls back to the trace header).
+
+def _add_flags(parser: argparse.ArgumentParser, defaults: Dict,
+               **help_overrides: str) -> None:
+    """Add ``--<flag>`` for each ``flag: default`` from :data:`_FLAGS`."""
+    for flag, default in defaults.items():
+        spec = dict(_FLAGS[flag], default=default)
+        if flag in help_overrides:
+            spec["help"] = help_overrides[flag]
+        parser.add_argument("--" + flag.replace("_", "-"), **spec)
+
+
+def _serving_flags(loss=None, shards=None, slots=None, policy=None,
+                   slots_help="serving slots / QueryPack budget"
+                   ) -> argparse.ArgumentParser:
+    """The shared serving parent of ``serve``/``replay``/``chaos``.
+
+    A fresh parser per subcommand, because argparse ``parents=`` shares
+    action objects — one subcommand's default would otherwise leak into
+    the others.  ``None`` defaults mean "resolved by the command" (e.g.
+    replay falls back to the trace header).
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--loss", type=float, default=loss,
-                        help="per-channel loss probability in [0, 1)")
-    parent.add_argument("--shards", type=int, default=shards,
-                        help="simulated switch pipelines to "
-                        "hash-partition entries across")
-    parent.add_argument("--slots", type=int, default=slots,
-                        help=slots_help)
-    parent.add_argument("--policy", default=policy,
-                        help="QoS policy: fifo, tiers, "
-                        "tiers-no-preempt, or a custom class spec "
-                        "(see docs/QOS.md)")
-    parent.add_argument("--seed", type=int, default=seed,
-                        help="deterministic master seed")
-    parent.add_argument("--congestion", choices=["fixed", "aimd"],
-                        default="fixed",
-                        help="transport mode: fixed retransmission "
-                        "schedule (default) or AIMD rate control "
-                        "(docs/CONGESTION.md)")
-    parent.add_argument("--queue-capacity", type=int, default=None,
-                        metavar="N",
-                        help="switch ingress-queue slots per pipeline "
-                        "(default: unbounded); finite queues tail-drop "
-                        "and emit the AIMD congestion signal")
+    _add_flags(parent, {"loss": loss, "shards": shards, "slots": slots,
+                        "policy": policy, "seed": 0, "reorder": 0,
+                        "workers": 4, "congestion": "fixed",
+                        "queue_capacity": None},
+               slots=slots_help)
     return parent
+
+
+def _scheduler_config(args, obs=None, **overrides):
+    """The :class:`SchedulerConfig` the shared serving flags describe,
+    built through :class:`repro.api.ServeConfig` (``overrides`` replace
+    a flag's value, e.g. one resolved from a trace header)."""
+    from repro.api import ServeConfig
+
+    fields = dict(slots=args.slots, loss=args.loss, shards=args.shards,
+                  policy=args.policy, seed=args.seed,
+                  workers=args.workers, reorder=args.reorder,
+                  queue_when_full=not getattr(args, "reject_when_full",
+                                              False),
+                  congestion=args.congestion,
+                  queue_capacity=args.queue_capacity)
+    fields.update(overrides)
+    config = ServeConfig(**fields).scheduler_config()
+    return config if obs is None else dataclasses.replace(config, obs=obs)
 
 
 def _obs_flags() -> argparse.ArgumentParser:
@@ -1351,10 +1375,6 @@ def main(argv: List[str] = None) -> int:
                               "submissions before admitting any, for "
                               "a deterministic tick domain under "
                               "racing clients")
-    serve_parser.add_argument("--reorder", type=int, default=0,
-                              help="channel reorder window")
-    serve_parser.add_argument("--workers", type=int, default=4,
-                              help="CWorker partitions per tenant table")
     serve_parser.add_argument("--rows", type=int, default=240,
                               help="rows per tenant scenario")
     serve_parser.add_argument("--mix", default=None,
@@ -1407,10 +1427,6 @@ def main(argv: List[str] = None) -> int:
                               "(even kills hit shards, odd hit workers)")
     chaos_parser.add_argument("--out", default=None, metavar="PATH",
                               help="also save the applied schedule")
-    chaos_parser.add_argument("--reorder", type=int, default=0,
-                              help="channel reorder window")
-    chaos_parser.add_argument("--workers", type=int, default=4,
-                              help="CWorker partitions per tenant table")
 
     replay_parser = sub.add_parser(
         "replay",
@@ -1459,10 +1475,6 @@ def main(argv: List[str] = None) -> int:
     replay_parser.add_argument("--out", default=None,
                                help="also save the (generated) trace "
                                "to this path")
-    replay_parser.add_argument("--reorder", type=int, default=0,
-                               help="channel reorder window")
-    replay_parser.add_argument("--workers", type=int, default=4,
-                               help="CWorker partitions per tenant table")
     replay_parser.add_argument("--reject-when-full", action="store_true",
                                help="reject arrivals with no free slot "
                                "instead of queueing them")
@@ -1473,57 +1485,19 @@ def main(argv: List[str] = None) -> int:
 
     bench_parser = sub.add_parser(
         "bench",
-        parents=[_serving_flags(
-            loss=0.05, shards=1,
-            slots_help="serving-slot budget (replay: default 2; "
-                       "qos: 3; load: 8)")],
-        help="run a perf benchmark (batched vs per-packet "
-        "dataplane; 'e2e' times the full simulated cluster; "
-        "'concurrency' measures multi-tenant serving; 'replay' measures "
-        "tail latency under trace-replay arrivals; 'qos' measures "
-        "interactive p99 with vs without slot preemption; 'chaos' "
-        "measures serving under seeded fault injection; 'load' "
-        "drives a concurrent client swarm against a live socket "
-        "server; 'obs' measures observability overhead and asserts "
-        "obs-on decisions are bit-identical to obs-off) and emit "
-        "BENCH_<name>.json")
-    bench_parser.add_argument("name", choices=["fig5", "fig11", "e2e",
-                                               "concurrency", "replay",
-                                               "qos", "chaos", "load",
-                                               "congestion", "obs"])
-    bench_parser.add_argument("--rows", type=int, default=None,
-                              help="largest stream length (fig11: "
-                              "default 60000) or scenario size (e2e: "
-                              "default 1200; concurrency: default 240; "
-                              "qos: batch-tenant rows, default 260)")
-    bench_parser.add_argument("--tenants", type=int, default=8,
-                              help="concurrency: largest tenant count")
-    bench_parser.add_argument("--queries", type=int, default=8,
-                              help="replay: queries per generated trace")
-    bench_parser.add_argument("--clients", type=int, default=256,
-                              help="load: open-loop socket clients")
-    bench_parser.add_argument("--process",
-                              choices=["poisson", "burst", "diurnal",
-                                       "pareto"],
-                              default="poisson",
-                              help="load: open-loop arrival process")
-    bench_parser.add_argument("--closed-clients", type=int, default=16,
-                              help="load: closed-loop connections "
-                              "(0 skips the closed-loop phase)")
-    bench_parser.add_argument("--closed-queries", type=int, default=2,
-                              help="load: back-to-back queries per "
-                              "closed-loop connection")
-    bench_parser.add_argument("--kills", type=int, default=2,
-                              help="chaos: kill events in the "
-                              "generated failure schedule")
-    bench_parser.add_argument("--reorder", type=int, default=2,
-                              help="e2e/load: channel reorder window")
-    bench_parser.add_argument("--batch-size", type=int, default=8192,
-                              help="entries per batch on the batched path")
-    bench_parser.add_argument("--scale", type=float, default=5e-4,
-                              help="workload sampling scale (fig5)")
-    bench_parser.add_argument("--results-dir", default=None,
-                              help="output dir (default: results/)")
+        help="run a perf benchmark and emit BENCH_<name>.json; each "
+        "bench takes only the flags its runner reads (repro bench NAME "
+        "-h)")
+    bench_sub = bench_parser.add_subparsers(dest="name", required=True,
+                                            metavar="NAME")
+    for name, bench in BENCHES.items():
+        doc = (bench.run.__doc__ or "").strip().splitlines()[0]
+        bench_one = bench_sub.add_parser(
+            name, help=doc,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        _add_flags(bench_one, bench.flags)
+        bench_one.add_argument("--results-dir", default=None,
+                               help="output dir (default: results/)")
 
     profile_parser = sub.add_parser(
         "profile",

@@ -8,6 +8,8 @@ admission edge cases: tenants arriving mid-run, slot-budget queueing and
 rejection, and switch-resource rejection.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,7 +337,9 @@ class TestConcurrencyBenchAndCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "throughput scaling" in out
-        assert (tmp_path / "BENCH_concurrency.json").exists()
+        saved = json.loads(
+            (tmp_path / "BENCH_concurrency.json").read_text())
+        assert saved["tenant_counts"][-1] == 2
 
     def test_default_mix_scenarios_exist(self):
         from repro.cluster.simulation import SCENARIOS

@@ -45,6 +45,7 @@ from repro.cluster.scheduler import (
     TenantReport,
     TenantSpec,
 )
+from repro.cluster.simulation import FLAG_FIELDS, SimulationConfig, Transport
 
 #: The facade's own version, independent of the package version:
 #: bumped only when a name exported here changes incompatibly.
@@ -66,31 +67,23 @@ class ServeConfig:
     (``docs/CONGESTION.md``).
     """
 
-    slots: int = 4
-    loss: float = 0.0
-    shards: int = 1
+    slots: int = SchedulerConfig.slots
+    loss: float = Transport.loss_rate
+    shards: int = Transport.shards
     policy: str = "fifo"
-    seed: int = 0
-    workers: int = 4
-    reorder: int = 0
-    queue_when_full: bool = True
-    congestion: str = "fixed"
-    queue_capacity: Optional[int] = None
+    seed: int = Transport.seed
+    workers: int = Transport.workers
+    reorder: int = Transport.reorder_window
+    queue_when_full: bool = SchedulerConfig.queue_when_full
+    congestion: str = Transport.congestion
+    queue_capacity: Optional[int] = Transport.queue_capacity
 
     def scheduler_config(self) -> SchedulerConfig:
         """The internal :class:`SchedulerConfig` this resolves to."""
-        return SchedulerConfig(
-            slots=self.slots,
-            queue_when_full=self.queue_when_full,
-            policy=parse_policy(self.policy),
-            workers=self.workers,
-            loss_rate=self.loss,
-            reorder_window=self.reorder,
-            shards=self.shards,
-            seed=self.seed,
-            congestion=self.congestion,
-            queue_capacity=self.queue_capacity,
-        )
+        fields = {FLAG_FIELDS.get(name, name): value
+                  for name, value in dataclasses.asdict(self).items()}
+        fields["policy"] = parse_policy(self.policy)
+        return SchedulerConfig(**fields)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,12 +277,14 @@ def submit(scenario: str, *, config: Optional[ServeConfig] = None,
     return session.result(name)
 
 
-def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
-                 workers: int = 4, loss: float = 0.05,
-                 reorder: int = 0, shards: int = 1,
+def run_scenario(name: str, *, rows: int = 1200,
+                 seed: int = Transport.seed,
+                 workers: int = Transport.workers, loss: float = 0.05,
+                 reorder: int = Transport.reorder_window,
+                 shards: int = Transport.shards,
                  pipelined: bool = True, check: bool = True,
-                 congestion: str = "fixed",
-                 queue_capacity: Optional[int] = None):
+                 congestion: str = Transport.congestion,
+                 queue_capacity: Optional[int] = Transport.queue_capacity):
     """One scenario end-to-end through the simulated cluster.
 
     This is the facade over single-tenant
@@ -300,11 +295,7 @@ def run_scenario(name: str, *, rows: int = 1200, seed: int = 0,
     (``docs/CONGESTION.md``); results are byte-identical either way,
     only the protocol accounting moves.
     """
-    from repro.cluster.simulation import (
-        ClusterSimulation,
-        SimulationConfig,
-        build_scenario,
-    )
+    from repro.cluster.simulation import ClusterSimulation, build_scenario
 
     query, tables = build_scenario(name, rows=rows, seed=seed)
     config = SimulationConfig(workers=workers, loss_rate=loss,

@@ -72,6 +72,13 @@ from repro.bench.runner import (
     run_replay_bench,
     save_result,
 )
+from repro.cluster.simulation import (
+    CONGESTION_MODES,
+    FLAG_FIELDS,
+    SCENARIOS,
+    SimulationError,
+    Transport,
+)
 
 #: Experiment registry: id -> zero-argument callable.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
@@ -103,8 +110,6 @@ def _run(names: List[str], results_dir: str, args=None) -> int:
         names = list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
-        from repro.cluster.simulation import SCENARIOS
-
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(sorted(EXPERIMENTS))}",
               file=sys.stderr)
@@ -130,8 +135,6 @@ def _run(names: List[str], results_dir: str, args=None) -> int:
 def _hint_e2e_overlap(names: List[str]) -> None:
     """Names in both registries (e.g. tpch_q3) default to the legacy
     experiment; tell the user how to get the cluster scenario."""
-    from repro.cluster.simulation import SCENARIOS
-
     overlap = [n for n in names if n in SCENARIOS]
     if overlap:
         print(f"note: {', '.join(overlap)} ran as paper experiment(s); "
@@ -148,8 +151,6 @@ def _wants_e2e(names: List[str], args) -> bool:
     """
     if args.loss is not None or args.reorder is not None:
         return True
-    from repro.cluster.simulation import SCENARIOS
-
     return ("all" not in names
             and all(n in SCENARIOS and n not in EXPERIMENTS
                     for n in names))
@@ -159,10 +160,9 @@ def _run_e2e(names: List[str], args) -> int:
     """Drive named scenarios end-to-end via the stable facade
     (``repro.api.run_scenario``; direct ``ClusterSimulation``
     construction is deprecated)."""
-    from repro.api import run_scenario
-    from repro.cluster.simulation import SCENARIOS
-
     import os
+
+    from repro.api import run_scenario
 
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
@@ -171,8 +171,9 @@ def _run_e2e(names: List[str], args) -> int:
         print(f"available: {', '.join(sorted(SCENARIOS))}",
               file=sys.stderr)
         return 2
-    loss = 0.05 if args.loss is None else args.loss
-    reorder = args.reorder or 0
+    # Unset flags (``None``) take run_scenario's defaults.
+    transport = {flag: getattr(args, flag) for flag in _TRANSPORT_FLAGS
+                 if getattr(args, flag) is not None}
     modes = (["pipelined", "sequential"] if args.mode == "both"
              else [args.mode])
     obs = _make_obs(args)
@@ -182,12 +183,8 @@ def _run_e2e(names: List[str], args) -> int:
         for mode in modes:
             try:
                 report = run_scenario(
-                    name, rows=args.rows, seed=args.seed,
-                    workers=args.workers, loss=loss, reorder=reorder,
-                    shards=args.shards,
-                    pipelined=(mode == "pipelined"),
-                    congestion=args.congestion,
-                    queue_capacity=args.queue_capacity)
+                    name, rows=args.rows,
+                    pipelined=(mode == "pipelined"), **transport)
             except ValueError as error:
                 # SimulationConfig bounds, SimulationError (bad rows,
                 # unsupported wire shapes, livelock): one-line
@@ -204,15 +201,16 @@ def _run_e2e(names: List[str], args) -> int:
             ok = ok and bool(report.equivalent)
             verdict = ("IDENTICAL to QueryPlan.run" if report.equivalent
                        else "MISMATCH vs QueryPlan.run")
-            transport = (f" congestion={args.congestion} "
-                         f"queue_capacity={args.queue_capacity}"
-                         if args.congestion != "fixed"
-                         or args.queue_capacity is not None else "")
+            pacing = (f" congestion={args.congestion} "
+                      f"queue_capacity={args.queue_capacity}"
+                      if args.congestion != Transport.congestion
+                      or args.queue_capacity != Transport.queue_capacity
+                      else "")
             lines = [
                 f"== e2e {name} [{mode}] ==",
-                f"  loss={loss} reorder={reorder} "
-                f"shards={args.shards} workers={args.workers}"
-                f"{transport}",
+                f"  loss={report.loss_rate} "
+                f"reorder={report.reorder_window} "
+                f"shards={args.shards} workers={args.workers}{pacing}",
                 f"  result      : {verdict}",
                 f"  wire        : {report.entries} entries offered, "
                 f"{report.delivered} delivered to master, "
@@ -295,7 +293,7 @@ def _announce_trace(args, config, path: str, version: int) -> None:
                   f"--slots {config.slots} --seed {args.seed}")
     if args.reorder:
         replay_cmd += f" --reorder {args.reorder}"
-    if args.workers != 4:
+    if args.workers != Transport.workers:
         replay_cmd += f" --workers {args.workers}"
     if args.reject_when_full:
         replay_cmd += " --reject-when-full"
@@ -358,6 +356,15 @@ def _serve_socket(args, config, chaos=None) -> int:
 
         _announce_trace(args, config, args.record_trace,
                         load_trace(args.record_trace).version)
+    # server.obs is config.obs when the CLI attached one, or the
+    # server's own default (metrics-only, backing the `stats` frame).
+    return _serve_outcome(args, config, report, chaos)
+
+
+def _serve_outcome(args, config, report, chaos, rate: str = "") -> int:
+    """The outcome block of both ``serve`` modes; returns the exit
+    code.  ``rate`` ends the aggregate line (in-process mode's
+    entries/s)."""
     ok = _print_tenant_outcomes(
         report, lambda t: f"wait={t.wait_ticks:<5d} "
                           f"service={t.service_ticks:<6d}")
@@ -366,14 +373,31 @@ def _serve_socket(args, config, chaos=None) -> int:
     print(f"  makespan    : {report.ticks} ticks, "
           f"{report.wall_seconds:.3f}s wall")
     print(f"  aggregate   : {report.entries} entries offered, "
-          f"{report.delivered} delivered")
-    # server.obs is config.obs when the CLI attached one, or the
-    # server's own default (metrics-only, backing the `stats` frame).
+          f"{report.delivered} delivered{rate}")
     _write_obs(config.obs, args, tick=report.ticks)
     if not ok:
         print("serve: at least one tenant diverged or failed",
               file=sys.stderr)
     return 0 if ok else 1
+
+
+def _parse_mix(args, command: str):
+    """``--mix`` as a tuple of scenario names.
+
+    Returns ``(mix, None)`` — ``mix`` is ``None`` when the flag is
+    unset — or ``(None, 2)`` after naming the unknown scenarios.
+    """
+    if not args.mix:
+        return None, None
+    mix = tuple(args.mix.split(","))
+    unknown = [name for name in mix if name not in SCENARIOS]
+    if unknown:
+        print(f"repro {command}: unknown scenarios in --mix: "
+              f"{', '.join(unknown)}", file=sys.stderr)
+        print(f"available: {', '.join(sorted(SCENARIOS))}",
+              file=sys.stderr)
+        return None, 2
+    return mix, None
 
 
 def _serve(args) -> int:
@@ -383,17 +407,9 @@ def _serve(args) -> int:
         QueryScheduler,
         tenant_specs,
     )
-    from repro.cluster.simulation import SCENARIOS, SimulationError
-
-    mix = (tuple(args.mix.split(",")) if args.mix
-           else DEFAULT_TENANT_MIX)
-    unknown = [name for name in mix if name not in SCENARIOS]
-    if unknown:
-        print(f"repro serve: unknown scenarios in --mix: "
-              f"{', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(SCENARIOS))}",
-              file=sys.stderr)
-        return 2
+    mix, code = _parse_mix(args, "serve")
+    if code is not None:
+        return code
     priorities = (tuple(args.priorities.split(","))
                   if args.priorities else None)
     try:
@@ -411,7 +427,7 @@ def _serve(args) -> int:
         return _serve_socket(args, config, chaos)
     try:
         specs = tenant_specs(args.tenants, rows=args.rows,
-                             seed=args.seed, mix=mix,
+                             seed=args.seed, mix=mix or DEFAULT_TENANT_MIX,
                              arrival_stride=args.arrival_stride,
                              priorities=priorities)
         report = QueryScheduler(config).serve(specs, chaos=chaos)
@@ -429,28 +445,15 @@ def _serve(args) -> int:
     print(f"== serve: {args.tenants} tenants, {config.slots} slots, "
           f"policy={config.policy.name}, loss={args.loss} "
           f"reorder={args.reorder} shards={args.shards} ==")
-    ok = _print_tenant_outcomes(
-        report, lambda t: f"wait={t.wait_ticks:<5d} "
-                          f"service={t.service_ticks:<6d}")
-    _print_qos_outcomes(report)
-    _print_chaos_outcomes(chaos)
     throughput = report.throughput_entries_per_second
-    print(f"  makespan    : {report.ticks} ticks, "
-          f"{report.wall_seconds:.3f}s wall")
-    print(f"  aggregate   : {report.entries} entries offered, "
-          f"{report.delivered} delivered"
-          + (f", {throughput:.0f} entries/s" if throughput else ""))
-    _write_obs(config.obs, args, tick=report.ticks)
-    if not ok:
-        print("serve: at least one tenant diverged or failed",
-              file=sys.stderr)
-    return 0 if ok else 1
+    return _serve_outcome(
+        args, config, report, chaos,
+        f", {throughput:.0f} entries/s" if throughput else "")
 
 
 def _replay(args) -> int:
     """Replay a recorded/generated arrival trace through the scheduler."""
     from repro.cluster.scheduler import replay_trace
-    from repro.cluster.simulation import SCENARIOS, SimulationError
     from repro.workloads.traces import generate_trace, load_trace
 
     trace_file = args.trace_file or args.trace_opt
@@ -462,15 +465,9 @@ def _replay(args) -> int:
         print("repro replay: need a trace file or --gen "
               "poisson|burst|diurnal", file=sys.stderr)
         return 2
-    mix = tuple(args.mix.split(",")) if args.mix else None
-    if mix:
-        unknown = [name for name in mix if name not in SCENARIOS]
-        if unknown:
-            print(f"repro replay: unknown scenarios in --mix: "
-                  f"{', '.join(unknown)}", file=sys.stderr)
-            print(f"available: {', '.join(sorted(SCENARIOS))}",
-                  file=sys.stderr)
-            return 2
+    mix, code = _parse_mix(args, "replay")
+    if code is not None:
+        return code
     chaos, code = _chaos_controller(args, "replay")
     if code is not None:
         return code
@@ -505,16 +502,13 @@ def _replay(args) -> int:
         # tiers their standard-class queries would be locked out of
         # small budgets by the reservation floors.
         hinted = any(q.priority is not None for q in trace.queries)
+        header = {"loss": trace.loss_rate, "shards": trace.shards}
         config = _scheduler_config(
             args, _make_obs(args),
             policy=(args.policy if args.policy is not None
                     else "tiers" if hinted else "fifo"),
-            loss=(args.loss if args.loss is not None
-                  else trace.loss_rate if trace.loss_rate is not None
-                  else 0.0),
-            shards=(args.shards if args.shards is not None
-                    else trace.shards if trace.shards is not None
-                    else 1))
+            **{flag: value for flag, value in header.items()
+               if getattr(args, flag) is None and value is not None})
         report = replay_trace(trace, config, apply_overrides=False,
                               chaos=chaos)
     except (OSError, ValueError, SimulationError) as error:
@@ -597,7 +591,6 @@ def _chaos(args) -> int:
     """Serve a scenario fleet under fault injection; verify survivors."""
     from repro.cluster.chaos import ChaosController, generate_schedule
     from repro.cluster.scheduler import QueryScheduler, tenant_specs
-    from repro.cluster.simulation import SCENARIOS, SimulationError
 
     if args.scenario not in SCENARIOS:
         print(f"repro chaos: unknown scenario {args.scenario!r}",
@@ -979,7 +972,8 @@ class Bench:
 
     ``flags`` maps each flag the runner reads to its default — the
     bench's sub-parser offers exactly these — and ``params`` renames
-    a flag whose runner keyword differs beyond :data:`_RUNNER_PARAMS`.
+    a flag whose runner keyword differs beyond
+    :data:`~repro.cluster.simulation.FLAG_FIELDS`.
     ``summary(payload)`` prints the human report; the command
     exits 1 unless every ``identity`` key of the payload is ``True``.
     ``check(payload)`` asserts the CI gates; ``stable`` names the
@@ -996,9 +990,6 @@ class Bench:
     stable: Optional[str] = None
     identity: Tuple[str, ...] = ("all_equivalent",)
 
-
-#: Flags whose runner keyword is spelled differently in every bench.
-_RUNNER_PARAMS = {"loss": "loss_rate", "reorder": "reorder_window"}
 
 #: The lossy transport the serving benches default to.
 _LOSSY = {"loss": 0.05, "reorder": 2}
@@ -1054,7 +1045,7 @@ def _bench(args) -> int:
     """``repro bench NAME``: run the registered bench, write its JSON,
     print its summary."""
     bench = BENCHES[args.name]
-    kwargs = {bench.params.get(flag, _RUNNER_PARAMS.get(flag, flag)):
+    kwargs = {bench.params.get(flag, FLAG_FIELDS.get(flag, flag)):
               getattr(args, flag) for flag in bench.flags}
     try:
         if "loss" in bench.flags and not 0.0 <= args.loss < 1.0:
@@ -1160,8 +1151,8 @@ _FLAGS: Dict[str, Dict] = {
                    "a custom class spec (see docs/QOS.md)"),
     "seed": dict(type=int, help="deterministic master seed"),
     "reorder": dict(type=int, help="channel reorder window"),
-    "workers": dict(type=int, help="CWorker partitions per tenant table"),
-    "congestion": dict(choices=["fixed", "aimd"],
+    "workers": dict(type=int, help="CWorker partitions per table"),
+    "congestion": dict(choices=CONGESTION_MODES,
                        help="transport mode: fixed retransmission "
                        "schedule (default) or AIMD rate control "
                        "(docs/CONGESTION.md)"),
@@ -1200,10 +1191,20 @@ def _add_flags(parser: argparse.ArgumentParser, defaults: Dict,
         parser.add_argument("--" + flag.replace("_", "-"), **spec)
 
 
-def _serving_flags(loss=None, shards=None, slots=None, policy=None,
-                   slots_help="serving slots / QueryPack budget"
-                   ) -> argparse.ArgumentParser:
-    """The shared serving parent of ``serve``/``replay``/``chaos``.
+_FLAG_OF = {field: flag for flag, field in FLAG_FIELDS.items()}
+
+#: Each transport flag with its :class:`Transport` default.
+_TRANSPORT_FLAGS: Dict[str, object] = {
+    _FLAG_OF.get(field.name, field.name): field.default
+    for field in dataclasses.fields(Transport)}
+
+
+def _serving_flags(slots_help="serving slots / QueryPack budget",
+                   **defaults) -> argparse.ArgumentParser:
+    """The shared serving parent of ``serve``/``replay``/``chaos``:
+    the transport flags plus ``--slots``/``--policy``, each defaulting
+    to ``defaults``, else to its :class:`Transport` default, else to
+    ``None``.
 
     A fresh parser per subcommand, because argparse ``parents=`` shares
     action objects — one subcommand's default would otherwise leak into
@@ -1211,10 +1212,8 @@ def _serving_flags(loss=None, shards=None, slots=None, policy=None,
     replay falls back to the trace header).
     """
     parent = argparse.ArgumentParser(add_help=False)
-    _add_flags(parent, {"loss": loss, "shards": shards, "slots": slots,
-                        "policy": policy, "seed": 0, "reorder": 0,
-                        "workers": 4, "congestion": "fixed",
-                        "queue_capacity": None},
+    _add_flags(parent, {**_TRANSPORT_FLAGS, "slots": None, "policy": None,
+                        **defaults},
                slots=slots_help)
     return parent
 
@@ -1222,18 +1221,16 @@ def _serving_flags(loss=None, shards=None, slots=None, policy=None,
 def _scheduler_config(args, obs=None, **overrides):
     """The :class:`SchedulerConfig` the shared serving flags describe,
     built through :class:`repro.api.ServeConfig` (``overrides`` replace
-    a flag's value, e.g. one resolved from a trace header)."""
+    a flag's value, e.g. one resolved from a trace header; a flag still
+    ``None`` takes the ServeConfig default)."""
     from repro.api import ServeConfig
 
-    fields = dict(slots=args.slots, loss=args.loss, shards=args.shards,
-                  policy=args.policy, seed=args.seed,
-                  workers=args.workers, reorder=args.reorder,
-                  queue_when_full=not getattr(args, "reject_when_full",
-                                              False),
-                  congestion=args.congestion,
-                  queue_capacity=args.queue_capacity)
+    fields = {field.name: getattr(args, field.name, None)
+              for field in dataclasses.fields(ServeConfig)}
+    fields["queue_when_full"] = not getattr(args, "reject_when_full", False)
     fields.update(overrides)
-    config = ServeConfig(**fields).scheduler_config()
+    config = ServeConfig(**{name: value for name, value in fields.items()
+                            if value is not None}).scheduler_config()
     return config if obs is None else dataclasses.replace(config, obs=obs)
 
 
@@ -1297,8 +1294,8 @@ def _write_obs(obs, args, tick=None) -> None:
         print(f"  -> wrote spans {args.span_out}")
 
 
-def main(argv: List[str] = None) -> int:
-    """CLI dispatch."""
+def _parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Cheetah reproduction: regenerate the paper's "
@@ -1316,31 +1313,20 @@ def main(argv: List[str] = None) -> int:
                             help="experiment ids, 'all', or e2e scenario "
                             "names (e.g. tpch_q3, distinct, join)")
     run_parser.add_argument("--results-dir", default="results")
-    run_parser.add_argument("--loss", type=float, default=None,
-                            help="e2e: per-channel loss probability in "
-                            "[0, 1); selects the ClusterSimulation path")
-    run_parser.add_argument("--reorder", type=int, default=None,
-                            help="e2e: channel reorder window (bounded "
-                            "displacement)")
-    run_parser.add_argument("--shards", type=int, default=1,
-                            help="e2e: simulated switch pipelines")
-    run_parser.add_argument("--workers", type=int, default=4,
-                            help="e2e: CWorker partitions per table")
-    run_parser.add_argument("--rows", type=int, default=1200,
-                            help="e2e: scenario input size")
+    # Unset --loss/--reorder (None) select the paper experiments for
+    # names in both registries; either flag selects the e2e path.
+    _add_flags(run_parser,
+               {**_TRANSPORT_FLAGS, "loss": None, "reorder": None,
+                "rows": 1200},
+               loss="e2e: per-channel loss probability in [0, 1); "
+               "selects the ClusterSimulation path",
+               reorder="e2e: channel reorder window (bounded "
+               "displacement)",
+               rows="e2e: scenario input size")
     run_parser.add_argument("--mode",
                             choices=["pipelined", "sequential", "both"],
                             default="pipelined",
                             help="e2e: switch dispatch mode")
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--congestion",
-                            choices=["fixed", "aimd"], default="fixed",
-                            help="e2e: transport mode "
-                            "(docs/CONGESTION.md)")
-    run_parser.add_argument("--queue-capacity", type=int, default=None,
-                            metavar="N",
-                            help="e2e: switch ingress-queue slots per "
-                            "pipeline (default: unbounded)")
 
     sql_parser = sub.add_parser("sql", help="run a demo SQL query "
                                 "through the Cheetah flow")
@@ -1351,7 +1337,7 @@ def main(argv: List[str] = None) -> int:
     serve_parser = sub.add_parser(
         "serve",
         parents=[_serving_flags(
-            loss=0.05, shards=1, policy="fifo",
+            loss=0.05, policy="fifo",
             slots_help="serving slots / QueryPack budget "
                        "(default: one per tenant)"), _obs_flags()],
         help="serve N concurrent tenants through the multi-tenant "
@@ -1430,7 +1416,8 @@ def main(argv: List[str] = None) -> int:
 
     replay_parser = sub.add_parser(
         "replay",
-        parents=[_serving_flags(slots=4), _obs_flags()],
+        parents=[_serving_flags(slots=4, loss=None, shards=None),
+                 _obs_flags()],
         help="replay a recorded (or generated) JSON-lines "
         "query-arrival trace through the multi-tenant scheduler and "
         "report tail latency + slot occupancy (format: docs/TRACES.md; "
@@ -1539,7 +1526,12 @@ def main(argv: List[str] = None) -> int:
     dump_parser.add_argument("file", help="path to a .prom exposition "
                              "or a trace-event JSON")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: List[str] = None) -> int:
+    """CLI dispatch."""
+    args = _parser().parse_args(argv)
     _configure_logging(args)
     if args.command == "list":
         for name in sorted(EXPERIMENTS):

@@ -489,7 +489,8 @@ class ChaosController:
             touched = 0
             for run in (loop.pending + loop.waiting
                         + loop.suspended + loop.active):
-                run.sim.config.loss_rate = event.loss_rate
+                run.sim.config = dataclasses.replace(
+                    run.sim.config, loss_rate=event.loss_rate)
                 touched += 1
                 transfer = run.current
                 if transfer is not None:

@@ -100,6 +100,8 @@ from repro.db.table import Table
 from repro.net.channel import LossyChannel
 from repro.net.congestion import RateController
 from repro.net.reliability import (
+    TIMEOUT_TICKS,
+    WINDOW,
     BatchedSwitchForwarder,
     MasterEndpoint,
     ReliableWorker,
@@ -115,32 +117,37 @@ class SimulationError(ValueError):
     """The query cannot be driven over the wire as configured."""
 
 
-@dataclasses.dataclass
-class SimulationConfig:
-    """Knobs of one end-to-end run.
+#: Ticks a solo pass, or a scheduler's whole serving run, may take
+#: before it is declared a protocol livelock.
+MAX_TICKS = 2_000_000
 
-    ``window`` bounds each worker's unACKed packets in flight, which is
-    also the per-flow bound on the batch the pipelined switch drains per
-    tick.  ``pipelined`` selects the batched switch frontend; the
-    per-packet path is the reference.  ``fid_base`` offsets every flow
-    id this simulation stamps on the wire — the multi-tenant scheduler
-    gives each tenant a disjoint fid range so concurrent tenants' flows
-    are globally distinguishable.
+#: Flag (CLI and :mod:`repro.api`) -> :class:`Transport` field, for the
+#: knobs whose two spellings differ.
+FLAG_FIELDS = {"loss": "loss_rate", "reorder": "reorder_window"}
 
-    **Transport knobs** (``docs/CONGESTION.md``): ``congestion``
-    selects the send schedule — ``"fixed"`` (the historical
-    fill-the-window-every-tick behaviour, bit-identical to before the
-    knob existed) or ``"aimd"`` (per-stream
-    :class:`~repro.net.congestion.RateController` pacing).
-    ``queue_capacity`` bounds each switch pipeline's ingress queue
-    (``None`` = unbounded); the worker→switch channel tail-drops past
-    the aggregate bound and feeds queue-depth signals back to AIMD
-    senders.  ``rate_weight`` scales the AIMD additive increment —
-    the scheduler maps each tenant's QoS-class weight here, so
-    "interactive beats batch" holds at the transport layer too.
-    Results are unchanged by all three knobs: the §7.2 protocol
-    delivers every entry for any loss < 1, so only ticks and
-    retransmission counts move.
+#: The send schedules :attr:`Transport.congestion` selects between.
+CONGESTION_MODES = ("fixed", "aimd")
+
+
+@dataclasses.dataclass(frozen=True)
+class Transport:
+    """The transport knobs every run shares, each declared once.
+
+    ``workers`` CWorker partitions carry each table; ``loss_rate`` and
+    ``reorder_window`` apply independently to a pass's three channels
+    (worker->switch, switch->master, ACKs); ``shards`` switch pipelines
+    hash-partition the entries; ``seed`` seeds the channels and the
+    planner.  ``congestion`` selects the send schedule
+    (``docs/CONGESTION.md``): ``"fixed"`` fills the window every tick,
+    ``"aimd"`` paces each stream with a
+    :class:`~repro.net.congestion.RateController`.  ``queue_capacity``
+    bounds each switch pipeline's ingress queue (``None`` =
+    unbounded); the worker->switch channel tail-drops past the
+    aggregate bound and feeds queue-depth signals back to AIMD senders.
+
+    Results are unchanged by every knob: the §7.2 protocol delivers
+    every entry for any loss < 1, so only ticks and retransmission
+    counts move.
     """
 
     workers: int = 4
@@ -148,22 +155,12 @@ class SimulationConfig:
     reorder_window: int = 0
     shards: int = 1
     seed: int = 0
-    window: int = 32
-    timeout_ticks: int = 8
-    pipelined: bool = True
-    max_ticks: int = 2_000_000
-    fid_base: int = 0
     congestion: str = "fixed"
     queue_capacity: Optional[int] = None
-    rate_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.fid_base < (1 << 16):
-            raise ValueError(
-                f"fid_base must fit the 16-bit wire fid, got {self.fid_base}"
-            )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
@@ -174,9 +171,7 @@ class SimulationConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.congestion not in ("fixed", "aimd"):
+        if self.congestion not in CONGESTION_MODES:
             raise ValueError(
                 f"congestion must be 'fixed' or 'aimd', "
                 f"got {self.congestion!r}")
@@ -184,6 +179,38 @@ class SimulationConfig:
             raise ValueError(
                 f"queue_capacity must be >= 1 (or None for unbounded), "
                 f"got {self.queue_capacity}")
+
+    def transport(self) -> Dict[str, Any]:
+        """This config's :class:`Transport` knobs, by field name."""
+        return {field.name: getattr(self, field.name)
+                for field in dataclasses.fields(Transport)}
+
+
+@dataclasses.dataclass(frozen=True)
+class SimulationConfig(Transport):
+    """Knobs of one end-to-end run: the :class:`Transport` plus the
+    driver's own.
+
+    ``pipelined`` selects the batched switch frontend; the per-packet
+    path is the reference.  ``fid_base`` offsets every flow id this
+    simulation stamps on the wire — the multi-tenant scheduler gives
+    each tenant a disjoint fid range so concurrent tenants' flows are
+    globally distinguishable.  ``rate_weight`` scales the AIMD
+    additive increment — the scheduler maps each tenant's QoS-class
+    weight here, so "interactive beats batch" holds at the transport
+    layer too.
+    """
+
+    pipelined: bool = True
+    fid_base: int = 0
+    rate_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0 <= self.fid_base < (1 << 16):
+            raise ValueError(
+                f"fid_base must fit the 16-bit wire fid, got {self.fid_base}"
+            )
         if self.rate_weight <= 0:
             raise ValueError(
                 f"rate_weight must be > 0, got {self.rate_weight}")
@@ -310,15 +337,13 @@ class ActiveTransfer:
             # acked window.
             self.controllers = {
                 fid: RateController(weight=cfg.rate_weight,
-                                    initial=max(1.0, cfg.window / 4),
+                                    initial=max(1.0, WINDOW / 4),
                                     additive=1.0,
-                                    cooldown=cfg.timeout_ticks)
+                                    cooldown=TIMEOUT_TICKS)
                 for fid in request.streams
             }
         self.workers = {
             fid: ReliableWorker(fid, entries,
-                                timeout_ticks=cfg.timeout_ticks,
-                                window=cfg.window,
                                 controller=self.controllers.get(fid))
             for fid, entries in request.streams.items()
         }
@@ -480,69 +505,6 @@ class ClusterSimulation:
             reference=None if reference is None else reference.result,
         )
 
-    async def run_async(self, query: Query, tables: TableSet,
-                        check: bool = True,
-                        yield_every: int = 32) -> SimulationReport:
-        """Asyncio-friendly :meth:`run`: identical results, same seeds.
-
-        The transfer loop yields control to the event loop every
-        ``yield_every`` protocol ticks (``await asyncio.sleep(0)``), so
-        a long pass cannot starve other coroutines — this is the drive
-        mode embedders (and :mod:`repro.serving`'s reactor pattern) use
-        when a solo query must run inside a live event loop.  The tick
-        domain is untouched: the report is byte-for-byte the one
-        :meth:`run` returns, because yielding happens *between* ticks.
-        """
-        import asyncio
-
-        if yield_every < 1:
-            raise ValueError(
-                f"yield_every must be >= 1, got {yield_every}")
-        self._pass_salt = 0
-        plan = self.planner.plan(query)
-        passes: List[PassStats] = []
-        gen = self._query_generator(plan, query, tables)
-        start = time.perf_counter()
-        value = None
-        while True:
-            try:
-                request = gen.send(value)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            active = self.begin_transfer(request)
-            since_yield = 0
-            while not active.done:
-                if active.ticks >= self.config.max_ticks:
-                    raise SimulationError(
-                        f"pass {request.name!r} did not complete within "
-                        f"{self.config.max_ticks} ticks (protocol "
-                        "livelock?)"
-                    )
-                active.step()
-                since_yield += 1
-                if since_yield >= yield_every:
-                    since_yield = 0
-                    await asyncio.sleep(0)
-            passes.append(active.stats())
-            value = active.delivered()
-        wall = time.perf_counter() - start
-        equivalent = reference = None
-        if check:
-            reference = plan.run(tables)
-            equivalent = result == reference.result
-        return SimulationReport(
-            result=result,
-            passes=passes,
-            wall_seconds=wall,
-            mode="pipelined" if self.config.pipelined else "sequential",
-            shards=self.config.shards,
-            loss_rate=self.config.loss_rate,
-            reorder_window=self.config.reorder_window,
-            equivalent=equivalent,
-            reference=None if reference is None else reference.result,
-        )
-
     # -- dispatch -------------------------------------------------------------
     def _execute(self, plan: QueryPlan, query: Query, tables: TableSet,
                  passes: List[PassStats]) -> ExecutionResult:
@@ -602,10 +564,10 @@ class ClusterSimulation:
         """Run one requested pass to completion (the solo drive mode)."""
         active = self.begin_transfer(request)
         while not active.done:
-            if active.ticks >= self.config.max_ticks:
+            if active.ticks >= MAX_TICKS:
                 raise SimulationError(
                     f"pass {request.name!r} did not complete within "
-                    f"{self.config.max_ticks} ticks (protocol livelock?)"
+                    f"{MAX_TICKS} ticks (protocol livelock?)"
                 )
             active.step()
         passes.append(active.stats())

@@ -152,3 +152,44 @@ def test_readme_lists_each_bench_flag_with_its_default():
         for flag, default in bench.flags.items():
             option = "--" + flag.replace("_", "-")
             assert f"`{option} {default}`" in row, (name, option)
+
+
+#: The argv that reaches each README flag-matrix column's defaults.
+MATRIX_ARGV = {"run": ["run", "distinct"], "serve": ["serve"],
+               "replay": ["replay"], "chaos": ["chaos", "distinct"]}
+
+
+def test_readme_flag_matrix_matches_the_parsers():
+    from repro.cli import _TRANSPORT_FLAGS, _parser
+
+    readme = (RESULTS.parent / "README.md").read_text().splitlines()
+    header = next(line for line in readme
+                  if line.startswith("| flag | `run` |"))
+    commands = [cell.strip().strip("`")
+                for cell in header.strip("|").split("|")[1:]]
+    assert commands == list(MATRIX_ARGV)
+    parsed = {command: vars(_parser().parse_args(argv))
+              for command, argv in MATRIX_ARGV.items()}
+    start = readme.index(header) + 2
+    rows = {}
+    for line in readme[start:]:
+        if not line.startswith("| `--"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1:]
+    assert {"--" + flag.replace("_", "-")
+            for flag in _TRANSPORT_FLAGS} <= set(rows)
+    for option, cells in rows.items():
+        dest = option[2:].replace("-", "_")
+        for command, cell in zip(commands, cells):
+            args = parsed[command]
+            if cell == "—":
+                assert dest not in args, (command, option)
+                continue
+            # A cell naming a value (a number or a `literal`) is the
+            # default; any other cell describes a None default.
+            named = cell[0].isdigit() or cell.startswith("`")
+            expected = cell.split()[0].strip("`") if named else None
+            actual = args[dest]
+            assert (None if actual is None else str(actual)) == expected, (
+                command, option, actual)

@@ -32,6 +32,8 @@ from repro.cluster.runtime import ShardedSwitchFrontend
 from repro.cluster.scheduler import (
     QueryScheduler,
     SchedulerConfig,
+    ServingLoop,
+    TenantSpec,
     tenant_specs,
 )
 from repro.cluster.simulation import build_scenario
@@ -436,6 +438,31 @@ class TestServingUnderFaults:
         report = QueryScheduler(config).serve(specs, chaos=controller)
         assert report.all_equivalent is True
         assert controller.applied[0]["tenants_degraded"] >= 1
+
+    def test_degraded_tenant_runs_its_next_pass_at_the_degraded_loss(self):
+        """Configs are frozen, so ``degrade_channel`` swaps in a new
+        config per tenant: every pass that starts after the event
+        opens its three channels at the event's loss rate."""
+        event = FailureEvent(tick=2, event="degrade_channel",
+                             loss_rate=0.07)
+        loop = ServingLoop(SchedulerConfig(slots=1, seed=3),
+                           chaos=ChaosController(
+                               FailureSchedule(events=(event,))))
+        loop.submit(TenantSpec(tenant="t0", scenario="join", rows=60))
+        started = {}
+        while loop.has_work:
+            loop.run_tick()
+            for run in loop.active:
+                if run.current is not None:
+                    started.setdefault(id(run.current),
+                                       (loop.tick, run.current))
+        before = [t for tick, t in started.values() if tick <= event.tick]
+        after = [t for tick, t in started.values() if tick > event.tick]
+        assert before and after
+        for transfer in after:
+            assert [channel.loss_rate for channel in
+                    (transfer.up, transfer.down, transfer.acks)] == [
+                        event.loss_rate] * 3, transfer.request.name
 
     def test_kill_shard_needs_sharded_frontend(self):
         config = SchedulerConfig(slots=2, shards=1, seed=0)

@@ -649,10 +649,8 @@ def _obs_section(payload) -> str:
         "median-of-"
         f"{payload['repeats']}; the fig11 batched dataplane kernel "
         "bare vs. with per-batch counter publication.  CI gates the "
-        "fig11 kernel overhead at 1.10x (the serving-loop ratio is "
-        "recorded, not gated: at CI sizes it mostly measures polling "
-        "constant-cost against a ~0.3s baseline) and asserts the two "
-        "determinism claims below.\n\n"
+        "serving-loop overhead at 1.25x and the fig11 kernel overhead "
+        "at 1.10x, and asserts the two determinism claims below.\n\n"
         + _table(["path", "obs off (s)", "obs on (s)", "overhead"],
                  rows)
         + "\n\n"

@@ -1169,14 +1169,13 @@ def run_obs_bench(tenants: int = 4, rows: int = 240, slots: int = 4,
       OpenMetrics text and Chrome trace; all repeats must hash
       identically (``exports_identical``).
     * **Overhead is bounded.**  Interleaved obs-off/obs-on serving
-      walls (median of ``repeats``) give ``serving.overhead_ratio``
-      (recorded, not gated: on CI-sized serves the ~20ms baseline
-      makes the ratio mostly polling constant-cost); a fig11-style
-      batched kernel run bare vs. with per-batch counter publication
-      gives ``fig11.overhead_ratio`` — the budget that the hot
-      dataplane loop stays at uninstrumented cost.  CI asserts
-      ``fig11.overhead_ratio <= 1.10``; ``overhead_ratio_max`` is
-      the informational max of both measured ratios.
+      walls (median of ``repeats``) give ``serving.overhead_ratio``;
+      a fig11-style batched kernel run bare vs. with per-batch
+      counter publication gives ``fig11.overhead_ratio`` — the budget
+      that the hot dataplane loop stays at uninstrumented cost.  CI
+      asserts ``serving.overhead_ratio <= 1.25`` and
+      ``fig11.overhead_ratio <= 1.10``; ``overhead_ratio_max`` is the
+      informational max of both measured ratios.
     """
     from repro.cluster.scheduler import (
         QueryScheduler,

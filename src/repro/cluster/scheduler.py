@@ -166,8 +166,8 @@ class SchedulerConfig(Transport):
     policy: QosPolicy = dataclasses.field(default_factory=fifo_policy)
     switch: SwitchModel = TOFINO_MODEL
     #: Optional :class:`~repro.obs.Observability` sink.  When set, the
-    #: serving loop reports lifecycle events and polls transport /
-    #: data-plane counters into it each tick (docs/OBSERVABILITY.md).
+    #: serving loop reports lifecycle events, tick ends and wire-pass
+    #: ends to it (docs/OBSERVABILITY.md).
     #: Strictly read-only with respect to scheduling state: obs-on
     #: decisions are bit-identical to the default ``None`` (no-op).
     obs: Optional[Any] = dataclasses.field(default=None, repr=False,
@@ -1212,10 +1212,6 @@ class QueryScheduler:
 
     def __init__(self, config: Optional[SchedulerConfig] = None):
         self.config = config or SchedulerConfig()
-
-    def _build_frontend(self):
-        """The shared data plane every tenant installs into."""
-        return _build_frontend(self.config)
 
     def serve(self, tenants: Sequence[TenantSpec],
               check: bool = True,

@@ -14,19 +14,22 @@ Two invariants keep the §acceptance gates honest:
   switch state, draws randomness, or reads a wall clock — so obs-on
   decisions are bit-identical to obs-off (CI sha256-compares them)
   and two identical seeded runs export byte-identical files.
-* **Per-pass counter folding.** Each wire pass builds a fresh
+* **Each pass folded once.**  Each wire pass is a fresh
   :class:`~repro.cluster.simulation.ActiveTransfer` (fresh channels,
-  workers, forwarder), so subsystem counters reset per pass.  The
-  poller detects the transfer swap by object identity, folds the
-  finished pass's totals into a per-tenant base, and publishes
-  ``base + live`` through :meth:`Counter.set_total` — cumulative
-  counters stay monotone across passes.
+  workers, forwarder), so it is the unit of transport accounting.  A
+  pass is registered when it opens (admission, or a transfer swap seen
+  at the end of a service tick) and folded exactly once when it ends
+  (the swap, completion, or :meth:`Observability.finalize`): its
+  totals are added to the per-tenant counters, its end-of-pass channel
+  depth and rate gauges are set, and its ``pass:`` span is recorded.
+  Per-tenant transport counters therefore advance when a pass ends,
+  not while it runs, and a service tick costs only the loop gauges.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import names
 from .metrics import MetricsRegistry
@@ -39,7 +42,7 @@ _CHANNELS = ("up", "down", "acks")
 
 
 def _transfer_totals(transfer) -> Dict[str, int]:
-    """Cumulative counters of one (possibly live) wire pass."""
+    """Counters of one ended wire pass."""
     workers = transfer.workers.values()
     controllers = transfer.controllers.values()
     totals = {
@@ -67,14 +70,12 @@ class Observability:
     samples per tick) is the more voluminous half.
     """
 
-    def __init__(self, metrics: bool = True, spans: bool = False):
-        if not metrics:
-            raise ValueError("the metrics registry is not optional; "
-                             "disable observability by passing obs=None")
+    def __init__(self, spans: bool = False):
         self.registry = MetricsRegistry()
         self.tracer: Optional[SpanTracer] = SpanTracer() if spans else None
-        #: tenant index -> per-run polling state (see module docstring).
-        self._state: Dict[int, Dict] = {}
+        #: run index -> (run, open transfer, pass start tick), in
+        #: admission order (see module docstring).
+        self._open: Dict[int, Tuple] = {}
         self._finalized = False
         self._register()
 
@@ -192,6 +193,9 @@ class Observability:
         self.sched_admissions.inc(qos_class=cls)
         wait = tick - run.spec.arrival_tick
         self.query_wait.observe(wait, qos_class=cls)
+        if run.current is not None:
+            # The first pass steps at the service tick that follows.
+            self._open[run.index] = (run, run.current, tick + 1)
         if self.tracer is None:
             return
         tenant = run.spec.tenant
@@ -211,9 +215,8 @@ class Observability:
         self.sched_completions.inc(qos_class=cls)
         self.query_latency.observe(tick - run.spec.arrival_tick,
                                    qos_class=cls)
-        state = self._state.get(run.index)
-        if state is not None and state["transfer"] is not None:
-            self._fold(state, tick)
+        if run.index in self._open:
+            self._fold(self._open.pop(run.index), tick)
         if self.tracer is not None:
             self.tracer.end(("service", run.index), tick,
                             passes=len(run.passes))
@@ -266,8 +269,8 @@ class Observability:
         self.chaos_recovery.set_total(controller.recovery_ticks)
 
     def on_service_tick(self, loop, tick: int, stepped) -> None:
-        """End-of-tick poll: loop gauges, per-tenant transport and
-        channel counters, data-plane shard stats."""
+        """End-of-tick hook: loop gauges, DRR service counts, and the
+        fold of every pass that ended this tick into a successor."""
         occupancy = sum(run.spec.slots for run in loop.active)
         self.sched_tick.set(tick)
         self.sched_occupancy.set(occupancy)
@@ -276,64 +279,41 @@ class Observability:
         self.sched_active.set(len(loop.active))
         for run in stepped:
             self.sched_service.inc(qos_class=run.qos_class.name)
+        # Folded in loop.active order, after the step loop: that order
+        # fixes span emission order, and so the export bytes.
         for run in loop.active:
-            self._poll_run(run, tick)
-        self._poll_frontend(loop.frontend)
+            entry = self._open.get(run.index)
+            if entry is not None and entry[1] is not run.current:
+                self._fold(entry, tick)
+                self._open[run.index] = (run, run.current, tick)
         if self.tracer is not None:
             self.tracer.counter(names.COUNTER_OCCUPANCY, tick,
                                 {"slots": occupancy})
             self.tracer.counter(names.COUNTER_QUEUE_DEPTH, tick,
                                 {"tenants": len(loop.waiting)})
 
-    # -- per-run polling -------------------------------------------------------
-    def _poll_run(self, run, tick: int) -> None:
-        state = self._state.get(run.index)
-        if state is None:
-            state = {"run": run, "transfer": None, "base": {},
-                     "pass_start": tick, "pass_no": 0}
-            self._state[run.index] = state
-        transfer = run.current
-        if transfer is not state["transfer"]:
-            if state["transfer"] is not None:
-                self._fold(state, tick)
-            state["transfer"] = transfer
-            state["pass_start"] = tick
-            state["pass_no"] += 1
-        if transfer is None:
-            return
-        base = state["base"]
-        live = _transfer_totals(transfer)
-        self._publish(run.spec.tenant, base, live, transfer)
-
-    def _publish(self, tenant: str, base: Dict[str, int],
-                 live: Dict[str, int], transfer) -> None:
-        """Publish ``base + live`` counter totals and the live channel
-        depth / rate gauges for one tenant."""
-
-        def total(key: str) -> int:
-            return base.get(key, 0) + live.get(key, 0)
-
-        self.transport_retransmissions.set_total(
-            total("retransmissions"), tenant=tenant)
-        self.transport_timer_scans.set_total(
-            total("timer_scans"), tenant=tenant)
-        self.transport_queue_signals.set_total(
-            total("queue_signals"), tenant=tenant)
-        self.transport_loss_events.set_total(
-            total("loss_events"), tenant=tenant)
-        self.switch_offers.set_total(total("switch_offers"),
-                                     tenant=tenant)
-        self.switch_prunes.set_total(total("switch_prunes"),
-                                     tenant=tenant)
+    def _fold(self, entry: Tuple, tick: int) -> None:
+        """Add one ended pass's totals to its tenant's counters, set
+        its end-of-pass channel depth and rate gauges, and (with spans
+        on) record its ``pass:`` span."""
+        run, transfer, start = entry
+        tenant = run.spec.tenant
+        totals = _transfer_totals(transfer)
+        for counter, key in (
+                (self.transport_retransmissions, "retransmissions"),
+                (self.transport_timer_scans, "timer_scans"),
+                (self.transport_queue_signals, "queue_signals"),
+                (self.transport_loss_events, "loss_events"),
+                (self.switch_offers, "switch_offers"),
+                (self.switch_prunes, "switch_prunes")):
+            counter.inc(totals[key], tenant=tenant)
         for channel_name in _CHANNELS:
-            self.channel_sent.set_total(
-                total(f"{channel_name}_sent"),
-                tenant=tenant, channel=channel_name)
-            self.channel_drops.set_total(
-                total(f"{channel_name}_dropped"),
-                tenant=tenant, channel=channel_name)
-            self.channel_tail_drops.set_total(
-                total(f"{channel_name}_tail_dropped"),
+            self.channel_sent.inc(totals[f"{channel_name}_sent"],
+                                  tenant=tenant, channel=channel_name)
+            self.channel_drops.inc(totals[f"{channel_name}_dropped"],
+                                   tenant=tenant, channel=channel_name)
+            self.channel_tail_drops.inc(
+                totals[f"{channel_name}_tail_dropped"],
                 tenant=tenant, channel=channel_name)
             self.channel_depth.set(
                 getattr(transfer, channel_name).pending(),
@@ -344,28 +324,13 @@ class Observability:
                                     tenant=tenant, fid=fid)
             self.transport_rate_peak.set(controller.peak_rate,
                                          tenant=tenant, fid=fid)
-
-    def _fold(self, state: Dict, tick: int) -> None:
-        """Fold a finished pass's counters into the tenant base,
-        re-publish the now-exact totals (the pass's last tick happened
-        after the last end-of-tick poll), and (with spans on) record
-        its ``pass:`` span."""
-        transfer = state["transfer"]
-        totals = _transfer_totals(transfer)
-        base = state["base"]
-        for key, value in totals.items():
-            base[key] = base.get(key, 0) + value
-        self._publish(state["run"].spec.tenant, base, {}, transfer)
-        state["transfer"] = None
         if self.tracer is None:
             return
-        run = state["run"]
         request = transfer.request
         self.tracer.record(
-            names.SPAN_PASS_PREFIX + request.name,
-            state["pass_start"], tick,
-            track=run.spec.tenant, cat=names.CAT_TRANSPORT,
-            tenant=run.spec.tenant, pass_no=state["pass_no"],
+            names.SPAN_PASS_PREFIX + request.name, start, tick,
+            track=tenant, cat=names.CAT_TRANSPORT, tenant=tenant,
+            pass_no=len(run.passes),
             fids=len(transfer.workers),
             entries=sum(len(s) for s in request.streams.values()),
             ticks=transfer.ticks,
@@ -377,7 +342,9 @@ class Observability:
             offered=totals["switch_offers"],
             duplicates=totals["duplicates"])
 
-    def _poll_frontend(self, frontend) -> None:
+    def publish_switch(self, frontend) -> None:
+        """Set the data-plane gauges from the shared frontend: read at
+        :meth:`finalize` and by the server's ``stats`` reply."""
         self.switch_installed.set(len(frontend.installed_queries()))
         per_shard_stats = getattr(frontend, "per_shard_stats", None)
         if per_shard_stats is None:
@@ -390,15 +357,17 @@ class Observability:
 
     # -- end of run ------------------------------------------------------------
     def finalize(self, loop) -> None:
-        """Fold still-open passes, stamp the final tick, close open
-        spans.  Idempotent — the socket server and the synchronous
-        ``QueryScheduler.serve`` may both reach it."""
+        """Fold still-open passes, read the switch gauges, stamp the
+        final tick, close open spans.  Idempotent — the socket server
+        and the synchronous ``QueryScheduler.serve`` may both reach
+        it."""
         if self._finalized:
             return
         tick = loop.tick
-        for state in self._state.values():
-            if state["transfer"] is not None:
-                self._fold(state, tick)
+        for entry in self._open.values():
+            self._fold(entry, tick)
+        self._open.clear()
+        self.publish_switch(loop.frontend)
         self.sched_tick.set(tick)
         if loop.chaos is not None:
             self._poll_chaos(loop.chaos)

@@ -98,12 +98,11 @@ class Counter(_Metric):
         self._samples[key] = self._samples.get(key, 0) + amount
 
     def set_total(self, value: float, **labels) -> None:
-        """Poller entry point: adopt an externally accumulated total.
+        """Adopt an externally accumulated total (the chaos
+        controller's running counts).
 
         Monotone by construction (``max`` with the current sample), so
-        a subsystem whose own counter resets — a channel torn down
-        with its pass — can be re-polled safely after the caller folds
-        completed-epoch totals into ``value``.
+        publishing the same or a stale total twice is harmless.
         """
         key = self._key(labels)
         self._samples[key] = max(self._samples.get(key, 0), value)

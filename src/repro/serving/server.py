@@ -316,6 +316,7 @@ class ReproServer:
         rides on proto/v1's must-ignore-unknown-fields rule, so v1
         clients that predate it keep working unchanged."""
         core = self._core
+        self.obs.publish_switch(core.frontend)
         return {
             "type": "telemetry",
             "tick": core.tick,

@@ -66,6 +66,13 @@ def test_check_rejects_a_diverged_payload(name):
         BENCHES[name].check(payload)
 
 
+def test_obs_check_gates_serving_overhead():
+    payload = copy.deepcopy(_record("obs"))
+    payload["serving"]["overhead_ratio"] = 1.3
+    with pytest.raises(AssertionError, match="serving obs overhead"):
+        BENCHES["obs"].check(payload)
+
+
 @pytest.mark.parametrize("name,flag", [
     (name, flag) for name in sorted(BENCHES) for flag in ALL_FLAGS
     if flag not in BENCHES[name].flags])

@@ -19,15 +19,17 @@ The acceptance properties of ``repro.obs``:
 
 import asyncio
 import json
+import pathlib
 
 import pytest
 
-from repro.bench.runner import _schedule_fingerprint
+from repro.bench.runner import _schedule_fingerprint, run_obs_bench
 from repro.cluster.scheduler import (
     QueryScheduler,
     SchedulerConfig,
     tenant_specs,
 )
+from repro.cluster.simulation import SCENARIOS
 from repro.obs import (
     Counter,
     Gauge,
@@ -37,6 +39,8 @@ from repro.obs import (
     SpanTracer,
     names,
 )
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 SERVE = dict(slots=2, loss_rate=0.05, reorder_window=1, shards=2,
              seed=3)
@@ -129,6 +133,18 @@ class TestDeterminism:
             serve_fleet(Observability(spans=True)))
         assert bare == instrumented
 
+    def test_obs_bench_exports_match_the_checked_in_record(self):
+        """The export bytes of the recorded obs bench are pinned: a
+        hook change that moves a sample or a span shows up here."""
+        record = json.loads((RESULTS / "BENCH_obs.json").read_text())
+        args = {key: record[key] for key in (
+            "tenants", "rows", "slots", "loss_rate", "reorder_window",
+            "shards", "seed")}
+        payload = run_obs_bench(**args, fig11_rows=2000, repeats=1)
+        for key in ("metrics_export_sha256", "spans_export_sha256"):
+            assert payload["decision_domain"][key][0] == \
+                record["decision_domain"][key][0], key
+
     def test_metric_catalog_is_run_independent(self):
         """Every catalog name renders HELP/TYPE even in a run that
         never exercises its subsystem (CI greps for names)."""
@@ -140,6 +156,43 @@ class TestDeterminism:
                      names.TRANSPORT_RETRANSMISSIONS,
                      names.SWITCH_PRUNES, names.CHAOS_MIGRATIONS):
             assert f"# TYPE {name} " in text
+
+
+class TestPassAccounting:
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.05])
+    @pytest.mark.parametrize("rows", [20, 240])
+    def test_every_pass_is_counted_once(self, loss_rate, rows):
+        """Per tenant, the exported transport counters and ``pass:``
+        spans match its :class:`PassStats` — including a first pass
+        that ends inside the run's first service tick."""
+        obs = Observability(spans=True)
+        config = SchedulerConfig(loss_rate=loss_rate, seed=1, obs=obs)
+        specs = tenant_specs(len(SCENARIOS), rows=rows, seed=1,
+                             mix=sorted(SCENARIOS))
+        report = QueryScheduler(config).serve(specs)
+        spans = [e for e in obs.tracer.to_chrome_trace()["traceEvents"]
+                 if e["ph"] == "X" and e["name"].startswith("pass:")]
+        for tenant in report.served:
+            name = tenant.spec.tenant
+            passes = tenant.passes
+            assert obs.transport_retransmissions.value(tenant=name) == \
+                sum(p.retransmissions for p in passes), name
+            assert obs.switch_prunes.value(tenant=name) == \
+                sum(p.switch_pruned for p in passes), name
+            assert obs.switch_offers.value(tenant=name) == \
+                sum(p.switch_pruned + p.switch_forwarded
+                    for p in passes), name
+            for counter, field in ((obs.channel_sent, "packets_sent"),
+                                   (obs.channel_drops,
+                                    "packets_dropped")):
+                assert sum(counter.value(tenant=name, channel=channel)
+                           for channel in ("up", "down", "acks")) == \
+                    sum(getattr(p, field) for p in passes), (name, field)
+            mine = [s for s in spans if s["args"]["tenant"] == name]
+            assert [s["args"]["pass_no"] for s in mine] == \
+                list(range(1, len(passes) + 1)), name
+            assert [s["name"] for s in mine] == \
+                ["pass:" + p.name for p in passes], name
 
 
 class TestSpanSchema:
@@ -199,7 +252,10 @@ class TestSpanSchema:
 class TestSurfaces:
     def test_stats_frame_carries_metrics_snapshot(self):
         """proto/v1 `stats`: the telemetry reply embeds the server's
-        registry snapshot (docs/PROTOCOL.md §4)."""
+        registry snapshot (docs/PROTOCOL.md §4).  After a served query
+        it carries that query's transport counters (folded when each
+        pass ended) and a per-shard switch gauge sample for every
+        shard (read when the reply is built)."""
         from repro.serving import AsyncReproClient, ReproServer
 
         async def session():
@@ -212,9 +268,9 @@ class TestSurfaces:
             frame = await client.stats()
             await client.close()
             await server.stop()
-            return frame
+            return frame, server.report(check=False)
 
-        frame = asyncio.run(session())
+        frame, report = asyncio.run(session())
         assert frame["type"] == "telemetry"
         metrics = frame["metrics"]
         assert names.SCHED_ADMISSIONS in metrics
@@ -223,6 +279,22 @@ class TestSurfaces:
         assert sum(s["value"] for s in admissions["samples"]) == 1
         # The snapshot must survive the JSON wire protocol.
         json.dumps(metrics)
+
+        passes = report.tenants[0].passes
+
+        def tenant_sum(name):
+            return sum(sample["value"]
+                       for sample in metrics[name]["samples"]
+                       if sample["labels"]["tenant"] == "t0")
+
+        assert tenant_sum(names.SWITCH_OFFERS) == sum(
+            p.switch_pruned + p.switch_forwarded for p in passes) > 0
+        assert tenant_sum(names.CHANNEL_SENT) == sum(
+            p.packets_sent for p in passes)
+        assert tenant_sum(names.TRANSPORT_RETRANSMISSIONS) == sum(
+            p.retransmissions for p in passes)
+        shards = metrics[names.SWITCH_SHARD_OFFERED]["samples"]
+        assert [s["labels"]["shard"] for s in shards] == ["0", "1"]
 
     def test_default_run_emits_nothing_to_stderr(self, capfd):
         """NullHandler contract: an unconfigured embedding sees no
